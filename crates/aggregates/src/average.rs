@@ -2,17 +2,15 @@
 
 use td_ceh::CascadedEh;
 use td_decay::storage::StorageAccounting;
-use td_decay::{DecayFunction, Time};
+use td_decay::{DecayFunction, StreamAggregate, Time};
 use td_wbmh::Wbmh;
-
-use crate::count::DecayedCount;
 
 /// The time-decaying average
 /// `A_g(T) = Σ f_i·g(T−t_i) / Σ g(T−t_i)` (Problem 2.2, DAP).
 ///
 /// As the paper observes (§2.2), the numerator is a decaying sum of the
 /// value stream and the denominator is a decaying count of the stream
-/// `(t_i, 1)`; both are maintained by any [`DecayedCount`] backend, and
+/// `(t_i, 1)`; both are maintained by any [`StreamAggregate`] backend, and
 /// an approximate average follows from the two approximate sums: with
 /// both one-sided within `(1+ε)`, the ratio lies within
 /// `[1/(1+ε), 1+ε]` of the true average.
@@ -25,7 +23,7 @@ use crate::count::DecayedCount;
 ///
 /// ```
 /// use td_aggregates::DecayedAverage;
-/// use td_decay::Polynomial;
+/// use td_decay::{Polynomial, StreamAggregate};
 /// let mut a = DecayedAverage::wbmh(Polynomial::new(1.0), 0.1, 1 << 20);
 /// a.observe(1, 10);
 /// a.observe(2, 20);
@@ -63,17 +61,11 @@ impl<G: DecayFunction + Clone> DecayedAverage<Wbmh<G>> {
     }
 }
 
-impl<B: DecayedCount> DecayedAverage<B> {
+impl<B: StreamAggregate> DecayedAverage<B> {
     /// Builds an average from two explicit backends (the `values`
     /// backend receives `(t, f)`, the `weights` backend `(t, 1)`).
     pub fn from_backends(values: B, weights: B) -> Self {
         Self { values, weights }
-    }
-
-    /// Ingests an item of value `f` at time `t`.
-    pub fn observe(&mut self, t: Time, f: u64) {
-        self.values.observe(t, f);
-        self.weights.observe(t, 1);
     }
 
     /// The decayed-average estimate, or `None` when no item carries
@@ -97,26 +89,19 @@ impl<B: DecayedCount> DecayedAverage<B> {
     }
 }
 
-impl<B: crate::count::MergeableCount> DecayedAverage<B> {
-    /// Merges another average's state (distributed sites over disjoint
-    /// substreams). Error composition follows the backend's
-    /// `merge_from`.
-    pub fn merge_from(&mut self, other: &DecayedAverage<B>) {
-        self.values.merge_counts(&other.values);
-        self.weights.merge_counts(&other.weights);
-    }
-}
-
 impl<B: StorageAccounting> StorageAccounting for DecayedAverage<B> {
     fn storage_bits(&self) -> u64 {
         self.values.storage_bits() + self.weights.storage_bits()
     }
 }
 
-/// The unified-aggregate view: `query` returns the average (or `0.0`
-/// before any item carries weight — use [`DecayedAverage::query`] to
-/// distinguish the empty case).
-impl<B: td_decay::StreamAggregate> td_decay::StreamAggregate for DecayedAverage<B> {
+/// Ingest feeds `(t, f)` to the values backend and `(t, 1)` to the
+/// weights backend; `merge_from` merges both (distributed sites over
+/// disjoint substreams, error composition per the backend's
+/// `merge_from`). The trait's `query` returns the average, or `0.0`
+/// before any item carries weight — use the inherent
+/// [`DecayedAverage::query`] to distinguish the empty case.
+impl<B: StreamAggregate> StreamAggregate for DecayedAverage<B> {
     fn observe(&mut self, t: Time, f: u64) {
         self.values.observe(t, f);
         self.weights.observe(t, 1);

@@ -2,10 +2,8 @@
 
 use td_ceh::CascadedEh;
 use td_decay::storage::StorageAccounting;
-use td_decay::{DecayFunction, Time};
+use td_decay::{DecayFunction, StreamAggregate, Time};
 use td_wbmh::Wbmh;
-
-use crate::count::DecayedCount;
 
 /// The time-decaying variance
 /// `V_g(T) = Σ g(T−t_i)·(f_i − A_g(T))²` (paper §7.3), via the
@@ -15,7 +13,7 @@ use crate::count::DecayedCount;
 /// V_g = Σg·f² − (Σg·f)² / Σg
 /// ```
 ///
-/// maintained as three decayed sums over any [`DecayedCount`] backend.
+/// maintained as three decayed sums over any [`StreamAggregate`] backend.
 ///
 /// **Error characteristics** (documented rather than hidden, as the
 /// paper itself defers the sharp algorithm to Cohen–Kaplan \[4\]): with
@@ -30,7 +28,7 @@ use crate::count::DecayedCount;
 ///
 /// ```
 /// use td_aggregates::DecayedVariance;
-/// use td_decay::SlidingWindow;
+/// use td_decay::{SlidingWindow, StreamAggregate};
 /// let mut v = DecayedVariance::ceh(SlidingWindow::new(100), 0.05);
 /// for t in 1..=100u64 {
 ///     v.observe(t, if t % 2 == 0 { 0 } else { 10 });
@@ -73,7 +71,7 @@ impl<G: DecayFunction + Clone> DecayedVariance<Wbmh<G>> {
     }
 }
 
-impl<B: DecayedCount> DecayedVariance<B> {
+impl<B: StreamAggregate> DecayedVariance<B> {
     /// Builds a variance from three explicit backends (fed `1`, `f`,
     /// and `f²` respectively).
     pub fn from_backends(weights: B, sums: B, squares: B) -> Self {
@@ -82,18 +80,6 @@ impl<B: DecayedCount> DecayedVariance<B> {
             sums,
             squares,
         }
-    }
-
-    /// Ingests an item of value `f` at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f² > u64::MAX` (values above `2^32 − 1`).
-    pub fn observe(&mut self, t: Time, f: u64) {
-        let sq = f.checked_mul(f).expect("value too large: f² overflows u64");
-        self.weights.observe(t, 1);
-        self.sums.observe(t, f);
-        self.squares.observe(t, sq);
     }
 
     /// The decayed-variance estimate (clamped at zero: the reduction can
@@ -121,46 +107,38 @@ impl<B: DecayedCount> DecayedVariance<B> {
     }
 }
 
-impl<B: crate::count::MergeableCount> DecayedVariance<B> {
-    /// Merges another variance's state (distributed sites over disjoint
-    /// substreams); all three internal sums merge per the backend's
-    /// `merge_from`.
-    pub fn merge_from(&mut self, other: &DecayedVariance<B>) {
-        self.weights.merge_counts(&other.weights);
-        self.sums.merge_counts(&other.sums);
-        self.squares.merge_counts(&other.squares);
-    }
-}
-
 impl<B: StorageAccounting> StorageAccounting for DecayedVariance<B> {
     fn storage_bits(&self) -> u64 {
         self.weights.storage_bits() + self.sums.storage_bits() + self.squares.storage_bits()
     }
 }
 
-/// The unified-aggregate view: `query` returns the variance (or `0.0`
-/// before any item carries weight — use [`DecayedVariance::query`] to
-/// distinguish the empty case).
-impl<B: td_decay::StreamAggregate> td_decay::StreamAggregate for DecayedVariance<B> {
+/// The value fed to the squares backend.
+fn square(f: u64) -> u64 {
+    f.checked_mul(f).expect("value too large: f² overflows u64")
+}
+
+/// Ingest feeds `(t, 1)`, `(t, f)` and `(t, f²)` to the three backends;
+/// `merge_from` merges all three (distributed sites over disjoint
+/// substreams, error composition per the backend's `merge_from`). The
+/// trait's `query` returns the variance, or `0.0` before any item
+/// carries weight — use the inherent [`DecayedVariance::query`] to
+/// distinguish the empty case.
+///
+/// # Panics
+///
+/// Ingest panics if `f² > u64::MAX` (values above `2^32 − 1`).
+impl<B: StreamAggregate> StreamAggregate for DecayedVariance<B> {
     fn observe(&mut self, t: Time, f: u64) {
-        let sq = f.checked_mul(f).expect("value too large: f² overflows u64");
         self.weights.observe(t, 1);
         self.sums.observe(t, f);
-        self.squares.observe(t, sq);
+        self.squares.observe(t, square(f));
     }
     fn observe_batch(&mut self, items: &[(Time, u64)]) {
         // Map the burst into the three component streams (1, f, f²) up
         // front so each backend takes one amortized batch.
         let unit: Vec<(Time, u64)> = items.iter().map(|&(t, _)| (t, 1)).collect();
-        let sq: Vec<(Time, u64)> = items
-            .iter()
-            .map(|&(t, f)| {
-                (
-                    t,
-                    f.checked_mul(f).expect("value too large: f² overflows u64"),
-                )
-            })
-            .collect();
+        let sq: Vec<(Time, u64)> = items.iter().map(|&(t, f)| (t, square(f))).collect();
         self.weights.observe_batch(&unit);
         self.sums.observe_batch(items);
         self.squares.observe_batch(&sq);

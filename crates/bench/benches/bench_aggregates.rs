@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use td_aggregates::{DecayedAverage, DecayedQuantile, DecayedSampler, DecayedVariance};
-use td_decay::Polynomial;
+use td_decay::{Polynomial, StreamAggregate};
 
 fn bench_aggregates(c: &mut Criterion) {
     let mut group = c.benchmark_group("aggregates");

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use td_decay::StreamAggregate;
 use td_eh::{ClassicEh, DominationEh, WindowSketch};
 
 fn bench_observe(c: &mut Criterion) {

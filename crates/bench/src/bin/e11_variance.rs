@@ -3,7 +3,7 @@
 
 use td_aggregates::DecayedVariance;
 use td_bench::Table;
-use td_decay::{DecayFunction, Polynomial, SlidingWindow, Time};
+use td_decay::{DecayFunction, Polynomial, SlidingWindow, StreamAggregate, Time};
 use td_stream::UniformValues;
 
 fn exact_variance<G: DecayFunction>(g: &G, items: &[(Time, u64)], t: Time) -> f64 {

@@ -10,7 +10,7 @@
 
 use td_bench::Table;
 use td_ceh::{CascadedEh, CehEstimator};
-use td_core::StorageAccounting;
+use td_core::{StorageAccounting, StreamAggregate};
 use td_counters::ExactDecayedSum;
 use td_decay::Polynomial;
 use td_eh::{ClassicEh, DominationEh, WindowSketch};

@@ -2,7 +2,7 @@
 //! count O(ε⁻¹ log N), storage O(ε⁻¹ log² N), observed error ≤ ε.
 
 use td_bench::{fit_vs_log_n, Table};
-use td_core::StorageAccounting;
+use td_core::{StorageAccounting, StreamAggregate};
 use td_eh::{ClassicEh, WindowSketch};
 use td_stream::BernoulliStream;
 

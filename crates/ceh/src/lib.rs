@@ -36,7 +36,7 @@
 
 use td_decay::soa::{dot_counts, dot_counts_midpoint};
 use td_decay::storage::StorageAccounting;
-use td_decay::{DecayFunction, Time};
+use td_decay::{DecayFunction, StreamAggregate, Time};
 use td_eh::{DominationEh, WindowSketch};
 
 /// How the cascaded query weights each bucket.
@@ -261,7 +261,7 @@ impl<G: DecayFunction, S: WindowSketch> CascadedEh<G, S> {
     }
 }
 
-impl<G: DecayFunction, S: WindowSketch + StorageAccounting> StorageAccounting for CascadedEh<G, S> {
+impl<G: DecayFunction, S: WindowSketch> StorageAccounting for CascadedEh<G, S> {
     fn storage_bits(&self) -> u64 {
         self.sketch.storage_bits()
     }
@@ -295,7 +295,7 @@ impl<G: DecayFunction> td_decay::checkpoint::Checkpoint for CascadedEh<G, Domina
     }
 }
 
-impl<G: DecayFunction> td_decay::StreamAggregate for CascadedEh<G, DominationEh> {
+impl<G: DecayFunction> StreamAggregate for CascadedEh<G, DominationEh> {
     fn observe(&mut self, t: Time, f: u64) {
         CascadedEh::observe(self, t, f)
     }

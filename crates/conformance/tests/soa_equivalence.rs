@@ -652,15 +652,15 @@ fn check_dom(scn: &Scenario, window: Option<Time>) {
     for op in &scn.ops {
         match op {
             Op::Observe(t, f) => {
-                WindowSketch::observe(&mut real, *t, *f);
+                StreamAggregate::observe(&mut real, *t, *f);
                 rf.observe(*t, *f);
             }
             Op::ObserveBatch(items) => {
-                WindowSketch::observe_batch(&mut real, items);
+                StreamAggregate::observe_batch(&mut real, items);
                 rf.observe_batch(items);
             }
             Op::Advance(t) => {
-                WindowSketch::advance(&mut real, *t);
+                StreamAggregate::advance(&mut real, *t);
                 rf.advance(*t);
             }
             Op::Query(t) => {
@@ -693,16 +693,16 @@ fn check_classic(scn: &Scenario, window: Option<Time>) {
         // ClassicEh is a 0/1 structure: cap the scenario's bulk values.
         match op {
             Op::Observe(t, f) => {
-                WindowSketch::observe(&mut real, *t, (*f).min(1));
+                StreamAggregate::observe(&mut real, *t, (*f).min(1));
                 rf.observe(*t, (*f).min(1));
             }
             Op::ObserveBatch(items) => {
                 let capped: Vec<(Time, u64)> = items.iter().map(|&(t, f)| (t, f.min(1))).collect();
-                WindowSketch::observe_batch(&mut real, &capped);
+                StreamAggregate::observe_batch(&mut real, &capped);
                 rf.observe_batch(&capped);
             }
             Op::Advance(t) => {
-                WindowSketch::advance(&mut real, *t);
+                StreamAggregate::advance(&mut real, *t);
                 rf.advance(*t);
             }
             Op::Query(t) => {

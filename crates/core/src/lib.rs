@@ -33,11 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use td_counters::{ExpCounter, PolyExpCounter, QuantizedExpCounter};
+use td_counters::{PolyExpCounter, QuantizedExpCounter};
 use td_decay::storage::bits_for_count;
 
 pub use td_aggregates::{
-    DecayedAverage, DecayedCount, DecayedLpNorm, DecayedQuantile, DecayedSampler, DecayedVariance,
+    DecayedAverage, DecayedLpNorm, DecayedQuantile, DecayedSampler, DecayedVariance,
 };
 pub use td_ceh::{CascadedEh, CehEstimator};
 pub use td_counters as counters;
@@ -565,15 +565,6 @@ impl StreamAggregate for DecayedSum {
     }
 }
 
-impl DecayedCount for DecayedSum {
-    fn observe(&mut self, t: Time, f: u64) {
-        DecayedSum::observe(self, t, f);
-    }
-    fn query(&self, t: Time) -> f64 {
-        DecayedSum::query(self, t)
-    }
-}
-
 impl StorageAccounting for DecayedSum {
     fn storage_bits(&self) -> u64 {
         match &self.backend {
@@ -695,17 +686,28 @@ impl td_decay::checkpoint::Checkpoint for DecayedSum {
 // Keep the plain (f64) exponential counter exported for users who want
 // the raw Eq. 1 recurrence without quantization.
 pub use td_counters::ExpCounter as RawExpCounter;
-const _: fn() = || {
-    // Compile-time check that the raw counter stays object-compatible
-    // with the aggregate backend trait.
-    fn assert_impl<T: DecayedCount>() {}
-    assert_impl::<ExpCounter>();
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use td_counters::ExactDecayedSum;
+    use td_counters::{ExactDecayedSum, ExpCounter};
+
+    /// Compile-time check: the composite aggregates accept every
+    /// summation backend, the facade's own `DecayedSum` included, and
+    /// are `StreamAggregate`s over each.
+    const _: fn() = || {
+        fn accepts<B: StreamAggregate>()
+        where
+            DecayedAverage<B>: StreamAggregate,
+            DecayedVariance<B>: StreamAggregate,
+        {
+        }
+        accepts::<ExpCounter>();
+        accepts::<ExactDecayedSum<Exponential>>();
+        accepts::<Wbmh<Polynomial>>();
+        accepts::<CascadedEh<SlidingWindow>>();
+        accepts::<DecayedSum>();
+    };
 
     #[test]
     fn auto_selection_follows_the_table() {

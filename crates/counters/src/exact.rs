@@ -246,8 +246,8 @@ impl<G: DecayFunction> td_decay::checkpoint::Checkpoint for ExactDecayedSum<G> {
         }
         let last_t = r.get_u64()?;
         let started = r.get_bool()?;
-        let n = r.get_u64()?;
-        let mut items = std::collections::VecDeque::with_capacity(n as usize);
+        let n = r.get_count(true, 16)?; // t, f: 2 × u64
+        let mut items = std::collections::VecDeque::with_capacity(n);
         let mut prev: Option<Time> = None;
         for _ in 0..n {
             let t = r.get_u64()?;

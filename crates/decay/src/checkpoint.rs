@@ -301,6 +301,29 @@ impl<'a> CheckpointReader<'a> {
         }
     }
 
+    /// Reads an element count (a `u64`, or a `u32` when `wide` is
+    /// false) that is about to size an allocation, refusing it as
+    /// [`RestoreError::Truncated`] when `count` elements of at least
+    /// `min_encoded_bytes` each cannot fit in the bytes left. A forged
+    /// count with a valid checksum then fails here instead of aborting
+    /// the process in the allocator.
+    pub fn get_count(
+        &mut self,
+        wide: bool,
+        min_encoded_bytes: usize,
+    ) -> Result<usize, RestoreError> {
+        let n = if wide {
+            self.get_u64()?
+        } else {
+            u64::from(self.get_u32()?)
+        };
+        let left = (self.buf.len() - self.pos) as u64;
+        match n.checked_mul(min_encoded_bytes as u64) {
+            Some(need) if need <= left => Ok(n as usize),
+            _ => Err(RestoreError::Truncated),
+        }
+    }
+
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], RestoreError> {
         let n = self.get_u64()?;
@@ -401,6 +424,23 @@ mod tests {
             CheckpointReader::open(&bytes, 8),
             Err(RestoreError::Invariant(_))
         ));
+    }
+
+    #[test]
+    fn counts_beyond_the_bytes_left_are_truncated() {
+        let mut w = CheckpointWriter::new(7);
+        w.put_u64(2);
+        w.put_u32(u32::MAX);
+        w.put_u64(u64::MAX);
+        w.put_u64(0);
+        let bytes = w.seal();
+        let mut r = CheckpointReader::open(&bytes, 7).unwrap();
+        assert_eq!(r.get_count(true, 8), Ok(2));
+        assert_eq!(r.get_count(false, 1), Err(RestoreError::Truncated));
+        // count × size overflows u64: refused, not wrapped.
+        assert_eq!(r.get_count(true, 2), Err(RestoreError::Truncated));
+        assert_eq!(r.get_count(true, 8), Ok(0));
+        r.finish().unwrap();
     }
 
     #[test]

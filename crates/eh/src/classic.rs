@@ -1,7 +1,7 @@
 //! The literal Datar et al. Exponential Histogram for 0/1 streams.
 
 use td_decay::storage::{bits_for_count, bits_for_timestamp, StorageAccounting};
-use td_decay::{BucketColumns, ColumnsView, Time};
+use td_decay::{BucketColumns, ColumnsView, StreamAggregate, Time};
 
 use crate::bucket::{estimate_strict_past_cols, estimate_window_cols, Bucket, Estimator};
 use crate::WindowSketch;
@@ -29,6 +29,7 @@ use crate::WindowSketch;
 /// # Examples
 ///
 /// ```
+/// use td_decay::StreamAggregate;
 /// use td_eh::{ClassicEh, WindowSketch};
 /// let mut eh = ClassicEh::new(0.1, Some(100));
 /// for t in 1..=1000 {
@@ -187,6 +188,28 @@ impl ClassicEh {
 }
 
 impl WindowSketch for ClassicEh {
+    fn query_window(&self, t: Time, w: Time) -> f64 {
+        self.query_window_with(t, w, Estimator::Halved)
+    }
+
+    fn live_total(&self) -> u64 {
+        self.live_total
+    }
+
+    fn buckets(&self) -> Vec<Bucket> {
+        ClassicEh::buckets(self)
+    }
+
+    fn columns(&self) -> ColumnsView<'_> {
+        ColumnsView::from(&self.buckets)
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.epsilon
+    }
+}
+
+impl StreamAggregate for ClassicEh {
     /// Ingests `f ∈ {0, 1}` at time `t`.
     ///
     /// # Panics
@@ -234,6 +257,10 @@ impl WindowSketch for ClassicEh {
         }
     }
 
+    fn batched_ingest_amortizes(&self) -> bool {
+        true // clock advance + expiry amortized per distinct tick
+    }
+
     fn advance(&mut self, t: Time) {
         if self.started {
             assert!(
@@ -250,40 +277,6 @@ impl WindowSketch for ClassicEh {
         self.expire(t);
     }
 
-    fn query_window(&self, t: Time, w: Time) -> f64 {
-        self.query_window_with(t, w, Estimator::Halved)
-    }
-
-    fn live_total(&self) -> u64 {
-        self.live_total
-    }
-
-    fn buckets(&self) -> Vec<Bucket> {
-        ClassicEh::buckets(self)
-    }
-
-    fn columns(&self) -> ColumnsView<'_> {
-        ColumnsView::from(&self.buckets)
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-}
-
-impl td_decay::StreamAggregate for ClassicEh {
-    fn observe(&mut self, t: Time, f: u64) {
-        WindowSketch::observe(self, t, f)
-    }
-    fn observe_batch(&mut self, items: &[(Time, u64)]) {
-        WindowSketch::observe_batch(self, items)
-    }
-    fn batched_ingest_amortizes(&self) -> bool {
-        true // clock advance + expiry amortized per distinct tick
-    }
-    fn advance(&mut self, t: Time) {
-        WindowSketch::advance(self, t)
-    }
     /// The live-total estimate: a window query spanning the whole
     /// elapsed stream (ages `1..=t`). Mass observed exactly at `t` is
     /// excluded (§2.1) *before* estimation — pure at-tick buckets are
@@ -305,6 +298,7 @@ impl td_decay::StreamAggregate for ClassicEh {
             self.query_window(t, t)
         }
     }
+
     /// # Panics
     ///
     /// Always: the classic power-of-two structure has no merge
@@ -312,6 +306,7 @@ impl td_decay::StreamAggregate for ClassicEh {
     fn merge_from(&mut self, _other: &Self) {
         panic!("ClassicEh does not support merge_from; use DominationEh");
     }
+
     fn error_bound(&self) -> td_decay::ErrorBound {
         td_decay::ErrorBound::symmetric(self.epsilon)
     }
@@ -384,8 +379,8 @@ impl td_decay::checkpoint::Checkpoint for ClassicEh {
         let last_t = r.get_u64()?;
         let started = r.get_bool()?;
         let at_last = r.get_u64()?;
-        let n = r.get_u64()?;
-        let mut buckets = BucketColumns::with_capacity(n as usize);
+        let n = r.get_count(true, 24)?; // start, end, count: 3 × u64
+        let mut buckets = BucketColumns::with_capacity(n);
         let mut sum = 0u64;
         let mut run = 0usize;
         for i in 0..n {

@@ -1,7 +1,7 @@
 //! The domination-based Exponential Histogram for general values.
 
 use td_decay::storage::{bits_for_count, bits_for_timestamp, StorageAccounting};
-use td_decay::{BucketColumns, ColumnsView, Time};
+use td_decay::{BucketColumns, ColumnsView, StreamAggregate, Time};
 
 use crate::bucket::{estimate_strict_past_cols, estimate_window_cols, Bucket, Estimator};
 use crate::WindowSketch;
@@ -32,6 +32,7 @@ use crate::WindowSketch;
 /// # Examples
 ///
 /// ```
+/// use td_decay::StreamAggregate;
 /// use td_eh::{DominationEh, WindowSketch};
 /// let mut eh = DominationEh::new(0.1, None);
 /// eh.observe(1, 500);  // bulk arrival
@@ -300,6 +301,28 @@ impl DominationEh {
 }
 
 impl WindowSketch for DominationEh {
+    fn query_window(&self, t: Time, w: Time) -> f64 {
+        self.query_window_with(t, w, Estimator::Halved)
+    }
+
+    fn live_total(&self) -> u64 {
+        self.live_total
+    }
+
+    fn buckets(&self) -> Vec<Bucket> {
+        DominationEh::buckets(self)
+    }
+
+    fn columns(&self) -> ColumnsView<'_> {
+        ColumnsView::from(&self.buckets)
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.epsilon
+    }
+}
+
+impl StreamAggregate for DominationEh {
     /// Ingests a bulk value `f` at time `t` (non-decreasing `t`).
     ///
     /// # Panics
@@ -357,6 +380,10 @@ impl WindowSketch for DominationEh {
         }
     }
 
+    fn batched_ingest_amortizes(&self) -> bool {
+        true // same-tick mass coalesced before the merge cascade
+    }
+
     fn advance(&mut self, t: Time) {
         if self.started {
             assert!(
@@ -373,40 +400,6 @@ impl WindowSketch for DominationEh {
         self.expire(t);
     }
 
-    fn query_window(&self, t: Time, w: Time) -> f64 {
-        self.query_window_with(t, w, Estimator::Halved)
-    }
-
-    fn live_total(&self) -> u64 {
-        self.live_total
-    }
-
-    fn buckets(&self) -> Vec<Bucket> {
-        DominationEh::buckets(self)
-    }
-
-    fn columns(&self) -> ColumnsView<'_> {
-        ColumnsView::from(&self.buckets)
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-}
-
-impl td_decay::StreamAggregate for DominationEh {
-    fn observe(&mut self, t: Time, f: u64) {
-        WindowSketch::observe(self, t, f)
-    }
-    fn observe_batch(&mut self, items: &[(Time, u64)]) {
-        WindowSketch::observe_batch(self, items)
-    }
-    fn batched_ingest_amortizes(&self) -> bool {
-        true // same-tick mass coalesced before the merge cascade
-    }
-    fn advance(&mut self, t: Time) {
-        WindowSketch::advance(self, t)
-    }
     /// The live-total estimate: a window query spanning the whole
     /// elapsed stream (ages `1..=t`), i.e. the sliding-window decayed
     /// sum this sketch maintains. Mass observed exactly at `t` is
@@ -428,9 +421,11 @@ impl td_decay::StreamAggregate for DominationEh {
             self.query_window(t, t)
         }
     }
+
     fn merge_from(&mut self, other: &Self) {
         DominationEh::merge_from(self, other)
     }
+
     fn error_bound(&self) -> td_decay::ErrorBound {
         // A k-site union certifies k·ε (see merge_from); queries are
         // symmetric because a straddling oldest bucket can land on
@@ -509,8 +504,8 @@ impl td_decay::checkpoint::Checkpoint for DominationEh {
         if sites == 0 {
             return Err(RestoreError::Invariant("zero sites".into()));
         }
-        let n = r.get_u64()?;
-        let mut buckets = BucketColumns::with_capacity(n as usize);
+        let n = r.get_count(true, 24)?; // start, end, count: 3 × u64
+        let mut buckets = BucketColumns::with_capacity(n);
         let mut sum = 0u64;
         for i in 0..n {
             let start = r.get_u64()?;

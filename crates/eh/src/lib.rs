@@ -20,8 +20,8 @@
 //!   bulk values per tick (the paper's generalization to polynomial
 //!   values) with the same `O(ε⁻¹ log N)` bucket bound.
 //!
-//! Both implement [`WindowSketch`], the Lemma 4.1 interface consumed by
-//! `td-ceh`.
+//! Both implement [`StreamAggregate`] for ingest and [`WindowSketch`],
+//! the Lemma 4.1 window queries consumed by `td-ceh`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,35 +34,19 @@ pub use bucket::{Bucket, Estimator};
 pub use classic::ClassicEh;
 pub use domination::DominationEh;
 
-use td_decay::Time;
+use td_decay::{StreamAggregate, Time};
 
 /// The Lemma 4.1 interface: a summary that can estimate the item count
 /// in any suffix window of the stream.
 ///
+/// Ingest, clock advance and merge come from the [`StreamAggregate`]
+/// supertrait, the workspace's one ingest contract; this trait adds
+/// only the window queries.
+///
 /// `query_window(T, w)` estimates the number of items with arrival time
 /// in `[T − w, T − 1]` (ages `1..=w` at time `T`, matching the §2.1
 /// convention that items at the query instant are excluded).
-pub trait WindowSketch {
-    /// Ingests `f` unit items at time `t` (non-decreasing `t`).
-    fn observe(&mut self, t: Time, f: u64);
-
-    /// Ingests a burst of `(time, value)` items sorted by non-decreasing
-    /// time, leaving the sketch in the same state sequential
-    /// [`observe`](Self::observe) calls would.
-    ///
-    /// The default is the sequential loop; implementations override it
-    /// to run clock advancement and expiry once per distinct tick and to
-    /// coalesce same-tick mass where their merge rule permits.
-    fn observe_batch(&mut self, items: &[(Time, u64)]) {
-        for &(t, f) in items {
-            self.observe(t, f);
-        }
-    }
-
-    /// Advances the sketch's clock to `t` without ingesting any items,
-    /// expiring buckets that leave the configured window.
-    fn advance(&mut self, t: Time);
-
+pub trait WindowSketch: StreamAggregate {
     /// Estimates the count of items with age in `1..=w` at time `T`.
     fn query_window(&self, t: Time, w: Time) -> f64;
 

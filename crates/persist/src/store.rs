@@ -249,7 +249,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<Vec<u64>, RestoreError> {
             version.min(u32::from(u16::MAX)) as u16
         ));
     }
-    let n = r.get_u32()? as usize;
+    let n = r.get_count(false, 8)?;
     let mut seqs = Vec::with_capacity(n);
     for _ in 0..n {
         seqs.push(r.get_u64()?);
@@ -864,6 +864,14 @@ mod tests {
         assert_eq!(rec.checkpoints[0].as_ref().unwrap().covered_seq, 4);
         let tail: Vec<u64> = rec.tail_for(0).map(|r| r.seq).collect();
         assert_eq!(tail, vec![5, 6]);
+    }
+
+    #[test]
+    fn forged_manifest_count_is_refused() {
+        let mut w = CheckpointWriter::new(MANIFEST_TAG);
+        w.put_u32(PERSIST_FORMAT_VERSION);
+        w.put_u32(u32::MAX);
+        assert_eq!(decode_manifest(&w.seal()), Err(RestoreError::Truncated));
     }
 
     #[test]

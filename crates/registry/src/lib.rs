@@ -767,7 +767,8 @@ impl<B: StreamAggregate + Checkpoint> Checkpoint for KeyedRegistry<B> {
         let sweep_visits = r.get_u64()?;
         let touches_total = r.get_u64()?;
         let sweep_cursor = r.get_u32()?;
-        let slot_count = r.get_u32()? as usize;
+        // Each slot is at least its generation (u32) and occupancy byte.
+        let slot_count = r.get_count(false, 5)?;
 
         let mut states = Vec::with_capacity(slot_count);
         let mut keys = vec![0u64; slot_count];
@@ -804,7 +805,7 @@ impl<B: StreamAggregate + Checkpoint> Checkpoint for KeyedRegistry<B> {
                 states.push((self.make)());
             }
         }
-        let free_len = r.get_u32()? as usize;
+        let free_len = r.get_count(false, 4)?;
         if free_len != slot_count - live {
             return Err(RestoreError::Invariant(format!(
                 "free list length {free_len} does not cover the {} vacant slots",

@@ -7,7 +7,8 @@
 //! the standard streaming-systems construction (cf. MillWheel/Dataflow
 //! watermarks, and the adversarial-arrival model of Braverman et al.):
 //!
-//! * items are buffered in a **per-source min-heap** keyed by timestamp;
+//! * items from every source are buffered in **one min-heap** keyed by
+//!   `(timestamp, arrival)`;
 //! * a **watermark** `W = max_seen − allowed_lateness` advances as new
 //!   maxima arrive;
 //! * every buffered item with `t ≤ W` is released to the wrapped
@@ -177,7 +178,9 @@ pub struct Reorderer<A: StreamAggregate> {
     decay: Box<dyn DecayFunction>,
     allowed_lateness: u64,
     policy: LatenessPolicy,
-    heaps: Vec<BinaryHeap<Reverse<Pending>>>,
+    /// Every source's buffered items, popped in `(t, seq)` order.
+    heap: BinaryHeap<Reverse<Pending>>,
+    sources: usize,
     seq: u64,
     max_seen: Time,
     watermark: Time,
@@ -187,8 +190,7 @@ pub struct Reorderer<A: StreamAggregate> {
     rejected_mass: u64,
     folded_mass: u64,
     folds: Vec<FoldEvent>,
-    /// Scratch for sorted release batches (capacity reused).
-    scratch: Vec<Pending>,
+    /// Scratch for release batches (capacity reused).
     batch: Vec<(Time, u64)>,
     /// The envelope of the most recent answer (folded widening is
     /// query-time dependent; `error_bound` reports the last one).
@@ -225,8 +227,8 @@ impl<A: StreamAggregate> Reorderer<A> {
         Self::with_sources(inner, decay, allowed_lateness, policy, 1)
     }
 
-    /// A stage buffering `sources` independent arrival sequences, each
-    /// in its own min-heap. The watermark is global: `max_seen` over
+    /// A stage accepting `sources` independent arrival sequences into
+    /// one shared buffer. The watermark is global: `max_seen` over
     /// *all* sources minus the bound, so one fast source ages out the
     /// others' skew budget exactly as in the shared-clock model of §6.
     pub fn with_sources(
@@ -242,7 +244,8 @@ impl<A: StreamAggregate> Reorderer<A> {
             decay,
             allowed_lateness,
             policy,
-            heaps: (0..sources).map(|_| BinaryHeap::new()).collect(),
+            heap: BinaryHeap::new(),
+            sources,
             seq: 0,
             max_seen: 0,
             watermark: 0,
@@ -252,7 +255,6 @@ impl<A: StreamAggregate> Reorderer<A> {
             rejected_mass: 0,
             folded_mass: 0,
             folds: Vec::new(),
-            scratch: Vec::new(),
             batch: Vec::new(),
             last_bound: Cell::new(None),
             on_watermark: None,
@@ -317,16 +319,16 @@ impl<A: StreamAggregate> Reorderer<A> {
     ///   envelope widening, and returns `Ok`.
     pub fn push(&mut self, source: usize, t: Time, f: u64) -> Result<(), LatenessError> {
         assert!(
-            source < self.heaps.len(),
+            source < self.sources,
             "source {source} out of range ({} sources)",
-            self.heaps.len()
+            self.sources
         );
         if t < self.watermark {
             return self.handle_late(source, t, f);
         }
         let seq = self.seq;
         self.seq += 1;
-        self.heaps[source].push(Reverse(Pending { t, seq, f }));
+        self.heap.push(Reverse(Pending { t, seq, f }));
         self.buffered_items += 1;
         self.buffered_mass += f;
         if t > self.max_seen {
@@ -616,34 +618,26 @@ impl<A: StreamAggregate> Reorderer<A> {
         ErrorBound { lower, upper }
     }
 
-    /// Drains every heap's `≤ W` prefix, merges the drained items into
-    /// one `(t, seq)`-sorted batch, and feeds it downstream. The `seq`
-    /// tiebreak makes this the *stable* sort of the arrival stream, so
-    /// same-tick coalescing and f64 summation order match a sorted
-    /// sequential replay exactly.
+    /// Pops the heap's `≤ W` prefix in `(t, seq)` order and feeds it
+    /// downstream as one batch. The `seq` tiebreak makes this the
+    /// *stable* sort of the arrival stream, so same-tick coalescing and
+    /// f64 summation order match a sorted sequential replay exactly.
     fn release(&mut self) {
-        let mut scratch = std::mem::take(&mut self.scratch);
         let mut batch = std::mem::take(&mut self.batch);
-        scratch.clear();
         batch.clear();
-        for heap in &mut self.heaps {
-            while let Some(&Reverse(p)) = heap.peek() {
-                if p.t > self.watermark {
-                    break;
-                }
-                heap.pop();
-                scratch.push(p);
+        while let Some(&Reverse(p)) = self.heap.peek() {
+            if p.t > self.watermark {
+                break;
             }
+            self.heap.pop();
+            batch.push((p.t, p.f));
         }
-        if !scratch.is_empty() {
-            scratch.sort_unstable();
-            batch.extend(scratch.iter().map(|p| (p.t, p.f)));
-            self.buffered_items -= scratch.len() as u64;
+        if !batch.is_empty() {
+            self.buffered_items -= batch.len() as u64;
             self.buffered_mass -= batch.iter().map(|&(_, f)| f).sum::<u64>();
-            self.released_items += scratch.len() as u64;
+            self.released_items += batch.len() as u64;
             self.inner.observe_batch(&batch);
         }
-        self.scratch = scratch;
         self.batch = batch;
     }
 

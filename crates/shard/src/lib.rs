@@ -129,21 +129,6 @@ const HEALTH_LIVE: u8 = 0;
 const HEALTH_FAILED: u8 = 1;
 const HEALTH_QUARANTINED: u8 = 2;
 
-/// How an un-keyed [`observe`](ShardedAggregate::observe) picks a shard.
-/// Keyed ingest ([`observe_keyed`](ShardedAggregate::observe_keyed))
-/// always hashes, so same-key items land on the same shard regardless
-/// of this setting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Partitioner {
-    /// Spread items evenly: item i goes to shard i mod N. Best load
-    /// balance; no per-key locality.
-    RoundRobin,
-    /// Un-keyed items still round-robin (there is no key to hash), but
-    /// declares intent: use [`observe_keyed`](ShardedAggregate::observe_keyed)
-    /// so a key's whole substream lives in one shard.
-    HashByKey,
-}
-
 /// What the coordinator does when a shard's ring stays full.
 ///
 /// The ring is strictly FIFO, so "drop oldest" is not implementable
@@ -317,8 +302,6 @@ pub struct SupervisorOptions {
     pub backpressure: BackpressurePolicy,
     /// Per-shard ring capacity (rounded up to a power of two).
     pub ring_capacity: usize,
-    /// Un-keyed ingest partitioning.
-    pub partitioner: Partitioner,
     /// Background fsync cadence for [durable](ShardedAggregate::durable)
     /// engines: a worker whose ring has gone idle flushes any unsynced
     /// WAL tail once per this interval. Batched sync policies
@@ -340,7 +323,6 @@ impl Default for SupervisorOptions {
             barrier_deadline: Duration::from_secs(1),
             backpressure: BackpressurePolicy::Block,
             ring_capacity: DEFAULT_RING_CAPACITY,
-            partitioner: Partitioner::RoundRobin,
             wal_flush_idle: Some(Duration::from_millis(100)),
         }
     }
@@ -539,7 +521,6 @@ struct Cache<B> {
 /// surface. See the crate docs for the architecture and failure model.
 pub struct ShardedAggregate<B> {
     shards: Vec<Shard<B>>,
-    partitioner: Partitioner,
     backpressure: BackpressurePolicy,
     barrier_deadline: Duration,
     /// Next round-robin target.
@@ -1105,17 +1086,13 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         Self::build(shards, SupervisorOptions::default(), None, &make, None)
     }
 
-    /// Full-control constructor: shard count, partitioner, and per-shard
-    /// ring capacity (rounded up to a power of two). Unsupervised; see
-    /// [`new`](Self::new).
-    pub fn with_options(
-        shards: usize,
-        partitioner: Partitioner,
-        ring_capacity: usize,
-        make: impl Fn() -> B,
-    ) -> Self {
+    /// Like [`new`](Self::new), with an explicit per-shard ring capacity
+    /// (rounded up to a power of two). Un-keyed ingest round-robins
+    /// across shards; [`observe_keyed`](Self::observe_keyed) hashes the
+    /// key so a key's whole substream lives in one shard. Unsupervised;
+    /// see [`new`](Self::new).
+    pub fn with_options(shards: usize, ring_capacity: usize, make: impl Fn() -> B) -> Self {
         let opts = SupervisorOptions {
-            partitioner,
             ring_capacity,
             ..SupervisorOptions::default()
         };
@@ -1211,7 +1188,6 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         ShardedAggregate {
             scratch: (0..shards).map(|_| Vec::new()).collect(),
             shards: handles,
-            partitioner: opts.partitioner,
             backpressure: opts.backpressure,
             barrier_deadline: opts.barrier_deadline,
             rr_next: 0,
@@ -1694,13 +1670,8 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
 impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAggregate<B> {
     fn observe(&mut self, t: Time, f: u64) {
         self.note_time(t);
-        let i = match self.partitioner {
-            Partitioner::RoundRobin | Partitioner::HashByKey => {
-                let i = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % self.shards.len();
-                self.route(i)
-            }
-        };
+        let i = self.route(self.rr_next);
+        self.rr_next = (self.rr_next + 1) % self.shards.len();
         let policy = self.backpressure;
         self.shards[i].push_all(&[Msg::Observe(t, f)], policy);
     }
@@ -2036,9 +2007,7 @@ mod tests {
 
     #[test]
     fn keyed_ingest_accounts_all_mass() {
-        let mut s = ShardedAggregate::with_options(4, Partitioner::HashByKey, 64, || {
-            ExactDecayedSum::new(Constant)
-        });
+        let mut s = ShardedAggregate::with_options(4, 64, || ExactDecayedSum::new(Constant));
         let mut total = 0u64;
         for i in 0..1000u64 {
             let f = 1 + i % 5;
@@ -2054,9 +2023,7 @@ mod tests {
         // drain their rings fully before exiting, so every item lands.
         let items = stream(20_000);
         let total: u64 = items.iter().map(|&(_, f)| f).sum();
-        let mut s = ShardedAggregate::with_options(4, Partitioner::RoundRobin, 256, || {
-            ExactDecayedSum::new(Constant)
-        });
+        let mut s = ShardedAggregate::with_options(4, 256, || ExactDecayedSum::new(Constant));
         s.observe_batch(&items);
         let merged = s.into_merged().expect("no shard failed");
         let probe = items.last().unwrap().0 + 1;

@@ -6,7 +6,7 @@
 //! ```
 
 use td_stream::BurstyStream;
-use timedecay::{DecayedAverage, DecayedVariance, Polynomial, StorageAccounting};
+use timedecay::{DecayedAverage, DecayedVariance, Polynomial, StorageAccounting, StreamAggregate};
 
 struct Gateway {
     name: &'static str,

@@ -7,7 +7,7 @@
 //! ```
 
 use td_stream::QueueWalk;
-use timedecay::{DecayedAverage, Exponential, Polynomial};
+use timedecay::{DecayedAverage, Exponential, Polynomial, StreamAggregate};
 
 fn drop_probability(avg_queue: f64, min_th: f64, max_th: f64, max_p: f64) -> f64 {
     // The classic RED ramp.

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use td_stream::{DriftingValues, QueueWalk, UniformValues};
 use timedecay::{
     DecayFunction, DecayedAverage, DecayedLpNorm, DecayedQuantile, DecayedSampler, DecayedVariance,
-    Exponential, Polynomial, SlidingWindow,
+    Exponential, Polynomial, SlidingWindow, StreamAggregate,
 };
 
 #[test]

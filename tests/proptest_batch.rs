@@ -51,7 +51,7 @@ proptest! {
         let mut seq = DominationEh::new(eps, None);
         let mut bat = DominationEh::new(eps, None);
         for &(t, f) in &items {
-            WindowSketch::observe(&mut seq, t, f);
+            StreamAggregate::observe(&mut seq, t, f);
         }
         feed_chunks(&mut bat, &items, chunk);
         prop_assert_eq!(seq.buckets(), bat.buckets());
@@ -73,7 +73,7 @@ proptest! {
         let mut seq = ClassicEh::new(eps, None);
         let mut bat = ClassicEh::new(eps, None);
         for &(t, f) in &bits {
-            WindowSketch::observe(&mut seq, t, f);
+            StreamAggregate::observe(&mut seq, t, f);
         }
         feed_chunks(&mut bat, &bits, chunk);
         prop_assert_eq!(seq.buckets(), bat.buckets());

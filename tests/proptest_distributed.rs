@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use td_conformance::Oracle;
 use td_counters::{ExactDecayedSum, ExpCounter, PolyExpCounter, QuantizedExpCounter};
 use td_eh::{DominationEh, WindowSketch};
-use timedecay::{CascadedEh, Constant, DecayFunction, Exponential, Polynomial, Wbmh};
+use timedecay::{
+    CascadedEh, Constant, DecayFunction, Exponential, Polynomial, StreamAggregate, Wbmh,
+};
 
 /// A random stream plus a random site assignment for each item.
 fn split_stream_strategy() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {

@@ -7,7 +7,8 @@ use td_counters::ExactDecayedSum;
 use td_eh::{ClassicEh, DominationEh, WindowSketch};
 use td_sketch::MvdList;
 use timedecay::{
-    CascadedEh, DecayFunction, Exponential, Polynomial, RegionSchedule, SlidingWindow, Wbmh,
+    CascadedEh, DecayFunction, Exponential, Polynomial, RegionSchedule, SlidingWindow,
+    StreamAggregate, Wbmh,
 };
 
 /// A random bursty 0/1..9-valued stream of bounded length.
