@@ -130,6 +130,9 @@ impl<B: StreamAggregate> StreamAggregate for DecayedAverage<B> {
         }
         self.values.query(t) / den
     }
+    fn query_is_additive(&self) -> bool {
+        false // a ratio of two sums
+    }
     fn merge_from(&mut self, other: &Self) {
         self.values.merge_from(&other.values);
         self.weights.merge_from(&other.weights);

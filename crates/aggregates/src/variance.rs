@@ -162,6 +162,9 @@ impl<B: StreamAggregate> StreamAggregate for DecayedVariance<B> {
         let q = self.squares.query(t);
         (q - s * s / w).max(0.0)
     }
+    fn query_is_additive(&self) -> bool {
+        false // a difference of sums over a sum
+    }
     fn merge_from(&mut self, other: &Self) {
         self.weights.merge_from(&other.weights);
         self.sums.merge_from(&other.sums);

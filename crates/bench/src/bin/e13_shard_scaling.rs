@@ -1,15 +1,14 @@
 //! E13b — td-shard scaling: ingest throughput of the sharded serving
-//! engine at 1/2/4/8 worker shards, and the query-side payoff of the
-//! epoch-cached merged summary against merge-per-query on a read-heavy
-//! (90/10) workload. Writes `BENCH_shard.json`.
+//! engine at 1/2/4/8 worker shards, and query latency on a read-heavy
+//! (90/10) workload, where every query is served as the sum of the
+//! per-shard answers (mode `served`: a barrier plus one backend query
+//! per shard, no clone and no merge). Writes `BENCH_shard.json`.
 //!
 //! The ingest numbers are only meaningful relative to
-//! `host_parallelism` (recorded in the JSON): on a single-core host the
-//! worker threads time-slice one CPU and sharding cannot beat the
-//! single-threaded backend, so treat the 1-shard row as the intercept
-//! and the multi-shard rows as measuring coordination overhead. The
-//! cached-vs-uncached query comparison is scheduling-independent —
-//! the cache removes a per-query snapshot+merge regardless of cores.
+//! `host_parallelism` (recorded in the JSON): when the host has fewer
+//! hardware threads than shards plus the coordinator, the worker
+//! threads time-slice the CPUs, so treat the 1-shard row as the
+//! intercept and the wider rows as measuring coordination overhead.
 
 use std::time::Instant;
 
@@ -55,7 +54,6 @@ struct IngestRow {
 struct QueryRow {
     backend: &'static str,
     shards: usize,
-    mode: &'static str,
     p50_ns: f64,
     p99_ns: f64,
 }
@@ -84,10 +82,10 @@ where
 }
 
 /// Runs the 90/10 read-heavy phase on an already-loaded engine: out of
-/// every ten ops, nine queries and one small ingest batch (which is
-/// exactly what invalidates the epoch cache). Returns per-query
-/// latencies in nanoseconds.
-fn read_heavy_latencies<B>(engine: &mut ShardedAggregate<B>, mut t: Time, cached: bool) -> Vec<f64>
+/// every ten ops, nine queries and one small ingest batch (so the next
+/// query waits at the barrier for the workers to apply it). Returns
+/// per-query latencies in nanoseconds.
+fn read_heavy_latencies<B>(engine: &mut ShardedAggregate<B>, mut t: Time) -> Vec<f64>
 where
     B: StreamAggregate + Clone + Send + 'static,
 {
@@ -100,11 +98,7 @@ where
             engine.observe_batch(&[(t, 3), (t, 5)]);
         } else {
             let t0 = Instant::now();
-            acc += if cached {
-                engine.query(t + 1)
-            } else {
-                engine.query_uncached(t + 1)
-            };
+            acc += engine.query(t + 1);
             lat.push(t0.elapsed().as_nanos() as f64);
         }
         i += 1;
@@ -139,21 +133,18 @@ fn bench_backend<B>(
     // Query phase at the serving-typical shard count.
     let shards = 4;
     let t_end = items.last().map(|&(t, _)| t).unwrap_or(0);
-    for (mode, cached) in [("cached", true), ("merge-per-query", false)] {
-        let mut engine = ShardedAggregate::new(shards, make);
-        for chunk in items.chunks(CHUNK) {
-            engine.observe_batch(chunk);
-        }
-        let mut lat = read_heavy_latencies(&mut engine, t_end, cached);
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        query_rows.push(QueryRow {
-            backend: name,
-            shards,
-            mode,
-            p50_ns: percentile(&lat, 0.50),
-            p99_ns: percentile(&lat, 0.99),
-        });
+    let mut engine = ShardedAggregate::new(shards, make);
+    for chunk in items.chunks(CHUNK) {
+        engine.observe_batch(chunk);
     }
+    let mut lat = read_heavy_latencies(&mut engine, t_end);
+    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    query_rows.push(QueryRow {
+        backend: name,
+        shards,
+        p50_ns: percentile(&lat, 0.50),
+        p99_ns: percentile(&lat, 0.99),
+    });
 }
 
 fn main() {
@@ -206,17 +197,16 @@ fn main() {
     }
     table.print();
 
-    let mut qtable = Table::new(&["backend", "shards", "query mode", "p50 us", "p99 us"]);
+    let mut qtable = Table::new(&["backend", "shards", "p50 us", "p99 us"]);
     for row in &query_rows {
         qtable.row(&[
             row.backend.into(),
             format!("{}", row.shards),
-            row.mode.into(),
             format!("{:.1}", row.p50_ns / 1e3),
             format!("{:.1}", row.p99_ns / 1e3),
         ]);
     }
-    println!("\n90/10 read-heavy workload, epoch cache vs merge-per-query:\n");
+    println!("\n90/10 read-heavy workload, answers summed over the live shards:\n");
     qtable.print();
 
     // Every row carries the host identity (see `td_bench::hostinfo`):
@@ -238,11 +228,10 @@ fn main() {
     json.push_str("  ],\n  \"query\": [\n");
     for (i, r) in query_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"shards\": {}, \"mode\": \"{}\", \
+            "    {{\"backend\": \"{}\", \"shards\": {}, \"mode\": \"served\", \
              \"p50_ns\": {:.0}, \"p99_ns\": {:.0}, {host}}}{}\n",
             r.backend,
             r.shards,
-            r.mode,
             r.p50_ns,
             r.p99_ns,
             if i + 1 == query_rows.len() { "" } else { "," }
@@ -253,24 +242,4 @@ fn main() {
     let path = "BENCH_shard.json";
     std::fs::write(path, &json).expect("write BENCH_shard.json");
     println!("\nwrote {path}");
-
-    // The cache's job on a read-heavy mix: most queries hit a merged
-    // summary that is still valid, so p50 must sit well under the
-    // snapshot+merge path. Checked for every backend.
-    for backend in ["exp-counter", "ceh", "wbmh"] {
-        let p50 = |mode: &str| {
-            query_rows
-                .iter()
-                .find(|r| r.backend == backend && r.mode == mode)
-                .map(|r| r.p50_ns)
-                .expect("row exists")
-        };
-        let (c, u) = (p50("cached"), p50("merge-per-query"));
-        println!(
-            "{backend}: cached p50 {:.1}us vs merge-per-query p50 {:.1}us ({:.1}x)",
-            c / 1e3,
-            u / 1e3,
-            u / c
-        );
-    }
 }

@@ -526,13 +526,14 @@ pub fn default_matrix() -> Vec<MatrixCase> {
             )
         })
         .with_truth(TruthKind::Variance { budget: 0.5 }),
-        // The td-shard engine (§6 turned into threads): three worker
-        // shards fed round-robin, queries served from the epoch-cached
-        // merged summary. Concrete (unboxed) decays — the backends must
-        // be `Send` to cross into the worker threads. The certifier
-        // replays these exactly like any single-threaded backend; the
-        // envelope it checks against is the merged summary's own
-        // (merge-widened, e.g. k·ε for the EH family).
+        // The td-shard engine: three worker shards fed round-robin,
+        // each query answered as the sum of the shards' answers.
+        // Concrete (unboxed) decays — the backends must be `Send` to
+        // cross into the worker threads. The certifier replays these
+        // exactly like any single-threaded backend; the envelope it
+        // checks against is the widest of the shards' own envelopes
+        // (one shard's ε — no merge fan-in band, since nothing is
+        // merged).
         MatrixCase::sum("sharded-exp-counter/x3", || {
             (
                 Box::new(ShardedAggregate::new(3, || {

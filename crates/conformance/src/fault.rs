@@ -20,7 +20,7 @@
 //!   before, during, and after the failure — sits inside its own
 //!   self-reported (possibly widened) envelope, and that the engine's
 //!   terminal state matches the mode: restarted shards heal back to
-//!   the un-widened merged envelope, quarantined and corrupted shards
+//!   the un-widened summed envelope, quarantined and corrupted shards
 //!   are served from checkpoints with the victim listed as degraded.
 //! * [`certify_corruption_detected`] — the restore side of the
 //!   contract: every seeded single-bit flip of a checkpoint must be
@@ -44,7 +44,7 @@ pub enum FaultMode {
     /// One panic; the supervisor restores the last checkpoint, replays
     /// the failed chunk, and the shard heals. Expected terminal state:
     /// all shards live, no degradation, envelope back to the plain
-    /// merged bound.
+    /// summed bound.
     Restart,
     /// One panic with the restart budget set to zero: the shard is
     /// quarantined and every later answer is served degraded, from the
@@ -384,7 +384,7 @@ where
                 ));
             }
             // Healed means *fully* healed: the terminal answer must be
-            // un-degraded and its envelope the plain merged bound, with
+            // un-degraded and its envelope the plain summed bound, with
             // no widening left over (checkpoint-per-chunk restarts are
             // lossless).
             let ans = engine

@@ -86,6 +86,17 @@ impl ErrorBound {
         }
     }
 
+    /// The envelope of a sum of non-negative parts certified by `self`
+    /// and `other`: the wider of the two on each side. From
+    /// `est_i ∈ [(1−l_i)v_i, (1+u_i)v_i]` with `v_i ≥ 0` it follows that
+    /// `Σest ∈ [(1−max l)Σv, (1+max u)Σv]`.
+    pub fn widest(self, other: ErrorBound) -> ErrorBound {
+        ErrorBound {
+            lower: self.lower.max(other.lower),
+            upper: self.upper.max(other.upper),
+        }
+    }
+
     /// Whether this envelope makes any relative-error promise at all.
     pub fn is_bounded(&self) -> bool {
         self.lower.is_finite() && self.upper.is_finite()
@@ -185,17 +196,31 @@ pub trait StreamAggregate: StorageAccounting {
         ErrorBound::exact()
     }
 
+    /// Whether [`query`](Self::query) answers are additive over
+    /// disjoint substreams: the answer for a union is the sum of the
+    /// answers for its parts, as for every decayed *sum* `Σ f_i·g(T−t_i)`.
+    ///
+    /// The sharded engine (`td-shard`) serves each query as the sum of
+    /// its shards' answers and refuses, at construction, a backend that
+    /// reports `false`. The composites whose `query` returns a ratio or
+    /// a difference of sums (decayed averages and variances) override
+    /// this to `false`. The default is `true` so that pass-through
+    /// wrappers of a sum backend need not forward it.
+    fn query_is_additive(&self) -> bool {
+        true
+    }
+
     /// A point-in-time copy of the summary, safe to query and
     /// [`merge_from`](Self::merge_from) independently of the original.
     ///
-    /// This is the hook the sharded engine (`td-shard`) uses to build
-    /// merged serving summaries: each worker's private shard is
-    /// snapshotted under a sequence-number barrier and the clones are
-    /// folded off the ingest path. Every backend in this workspace is a
-    /// plain-old-data value (bucket lists, counters), so the default —
-    /// `Clone::clone` — is both correct and cheap relative to a merge;
-    /// a backend with shared interior state would override this to
-    /// detach it. `Sized` keeps `dyn StreamAggregate` object-safe.
+    /// The sharded engine (`td-shard`) serves queries from its live
+    /// shards without copying them; it snapshots shards only when it
+    /// must hand out one owned summary of the whole engine (folding
+    /// another engine in through `merge_from`). Every backend in this
+    /// workspace is a plain-old-data value (bucket lists, counters), so
+    /// the default — `Clone::clone` — is correct; a backend with shared
+    /// interior state would override this to detach it. `Sized` keeps
+    /// `dyn StreamAggregate` object-safe.
     fn snapshot(&self) -> Self
     where
         Self: Sized + Clone,

@@ -574,7 +574,7 @@ impl<G: DecayFunction> ForwardEngine<G> {
 }
 
 macro_rules! forward_backend {
-    ($(#[$doc:meta])* $name:ident, $tag:expr, $query:ident, $bound:expr) => {
+    ($(#[$doc:meta])* $name:ident, $tag:expr, $query:ident, $additive:expr, $bound:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone)]
         pub struct $name<G> {
@@ -668,6 +668,10 @@ macro_rules! forward_backend {
                 self.core.$query(t)
             }
 
+            fn query_is_additive(&self) -> bool {
+                $additive
+            }
+
             fn merge_from(&mut self, other: &Self) {
                 self.core.merge_with(&other.core);
             }
@@ -699,6 +703,7 @@ forward_backend!(
     ForwardDecaySum,
     TAG_FORWARD_SUM,
     sum_at,
+    true,
     |core| ErrorBound::symmetric(core.rel_bound())
 );
 
@@ -710,6 +715,7 @@ forward_backend!(
     ForwardDecayAverage,
     TAG_FORWARD_AVG,
     average_at,
+    false,
     |core| ErrorBound::symmetric(2.0 * core.rel_bound())
 );
 
@@ -725,6 +731,7 @@ forward_backend!(
     ForwardDecayVariance,
     TAG_FORWARD_VAR,
     variance_at,
+    false,
     |_core| ErrorBound::unbounded()
 );
 

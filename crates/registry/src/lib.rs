@@ -632,9 +632,7 @@ impl<B: StreamAggregate> StreamAggregate for KeyedRegistry<B> {
         for i in 0..self.states.len() {
             if self.occupied[i] {
                 total += self.states[i].query(t);
-                let b = self.states[i].error_bound();
-                worst.lower = worst.lower.max(b.lower);
-                worst.upper = worst.upper.max(b.upper);
+                worst = worst.widest(self.states[i].error_bound());
             }
         }
         // Eviction only ever *removes* mass, so it widens the lower

@@ -2,14 +2,16 @@
 //! with supervised workers, checkpoint/restore recovery, and degraded
 //! serving under shard failures.
 //!
-//! The paper's §6 merge property — summaries of disjoint substreams
-//! combine into a summary of the union, within a (possibly widened)
-//! error envelope — is exactly what makes a decay summary *shardable*:
+//! A decayed sum `Σ f_i·g(T−t_i)` is additive over disjoint
+//! substreams, and that is what makes a decay summary *shardable*:
 //! split the stream across N private backend shards, each owned by one
-//! worker thread, and fold snapshots back together only when someone
-//! asks a question. PR 1's `merge_from` and PR 2's `certify_sharded`
-//! proved the algebra; this crate turns it into wall-clock throughput
-//! — and keeps the answers *certified* even while shards are dying.
+//! worker thread, and answer a query as the sum of the shards' answers,
+//! with no merge at all. The paper's §6 merge property (summaries of
+//! disjoint substreams combine into a summary of the union, within a
+//! possibly widened envelope) is needed only when one owned summary of
+//! the whole engine must be produced. This crate turns that into
+//! wall-clock throughput — and keeps the answers *certified* even while
+//! shards are dying.
 //!
 //! # Architecture
 //!
@@ -18,10 +20,10 @@
 //!  caller ────┼─ SPSC ring ─▶ worker 1 ─ owns B (shard 1) ─ checkpoint
 //!  (observe)  └─ SPSC ring ─▶ worker 2 ─ owns B (shard 2) ─ checkpoint
 //!                                  │
-//!  caller (query) ── barrier ──────┴──▶ snapshot · advance · merge_from
-//!                      │                 └──▶ epoch-cached merged B
-//!                      └─ deadline / dead shards ──▶ degraded fold
-//!                                                    (widened envelope)
+//!  caller (query) ── barrier ──────┴──▶ Σ_i shard_i.query(t)
+//!                      │                 (envelope: max_i of each side)
+//!                      └─ deadline / dead shards ──▶ + dead checkpoints'
+//!                                                    answers (widened)
 //! ```
 //!
 //! * **Ingest** partitions items round-robin (or by key hash) and pushes
@@ -30,10 +32,10 @@
 //!   amortized [`StreamAggregate::observe_batch`] path.
 //! * **Queries** run at a sequence-number barrier: the coordinator waits
 //!   until every live shard's `applied` counter catches up to its
-//!   `submitted` counter, then snapshots each shard, advances the clones
-//!   to the shared clock, and folds them with `merge_from`. The merged
-//!   summary is epoch-cached, so the merge is paid once per *state
-//!   change*, not once per query.
+//!   `submitted` counter, then locks each shard's backend in turn and
+//!   returns the sum of their answers. Nothing is cloned, advanced or
+//!   merged on the serving path; a query costs one backend query per
+//!   shard.
 //!
 //! # Fault tolerance
 //!
@@ -54,13 +56,13 @@
 //! Queries keep working throughout. [`try_query`](ShardedAggregate::try_query)
 //! waits at the barrier with a deadline (a wedged shard surfaces as the
 //! typed [`QueryError::Wedged`] instead of a hang); when shards are
-//! quarantined it folds the *live* snapshots plus each dead shard's
-//! last checkpoint, and widens the reported [`ErrorBound`] by the
-//! checkpointed **mass at risk** — every unit of mass that was
-//! submitted but is not covered by any folded state can contribute at
-//! most `g(1)` each (items are strictly past), so the answer's
-//! self-reported envelope still provably covers the truth. The same
-//! widening covers mass dropped by the
+//! quarantined it sums the *live* shards' answers plus the answer of
+//! each dead shard's last checkpoint, and widens the reported
+//! [`ErrorBound`] by the checkpointed **mass at risk** — every unit of
+//! mass that was submitted but is not covered by any answering state
+//! can contribute at most `g(1)` each (items are strictly past), so the
+//! answer's self-reported envelope still provably covers the truth. The
+//! same widening covers mass dropped by the
 //! [`BackpressurePolicy::DropNewest`] policy and mass lost during
 //! recovery. Degraded answers carry the list of dead shards in
 //! [`Answer::degraded`].
@@ -71,15 +73,22 @@
 //! preserves the workspace-wide conventions exactly: ticks are
 //! non-decreasing (enforced at the coordinator so a contract violation
 //! panics on the caller's thread, not inside a worker), an item observed
-//! at the query tick is invisible (§2.1 — snapshots are advanced *to*
-//! the shared clock, which never folds at-tick mass), and
-//! `error_bound()` is read from the live merged summary so k-way merge
-//! fan-in widening (k·ε for the EH family) is reported automatically.
+//! at the query tick is invisible (§2.1 — every shard's `query(t)`
+//! already hides its own at-tick mass, so no shard is advanced to
+//! answer), and `error_bound()` is the widest of the shards' own
+//! envelopes, side by side. For each shard `est_i ∈ [(1−l_i)v_i,
+//! (1+u_i)v_i]` with `v_i ≥ 0`, so the sum lies in
+//! `[(1−max l)Σv, (1+max u)Σv]`: the served envelope is one shard's ε,
+//! not the k·ε fan-in band a merged EH summary would carry. That band
+//! applies only to the owned summaries [`ShardedAggregate::into_merged`]
+//! and the trait's `merge_from` build. A backend whose `query` is not a
+//! sum (a decayed average or variance) cannot be served this way and is
+//! refused at construction ([`StreamAggregate::query_is_additive`]).
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
@@ -159,8 +168,8 @@ pub enum ShardHealth {
     /// `Quarantined`.
     Failed,
     /// Permanently out of service: the worker has exited, pushes are
-    /// rerouted, and queries fold the shard's last checkpoint instead
-    /// of its (possibly torn) live state.
+    /// rerouted, and queries answer from the shard's last checkpoint
+    /// instead of its (possibly torn) live state.
     Quarantined,
 }
 
@@ -445,8 +454,7 @@ struct ShardState<B> {
     /// snapshot/merge time (which the barrier has already quiesced).
     backend: Mutex<B>,
     /// Messages fully applied to `backend`. This is the shard's
-    /// *epoch*: any state change moves it, so cache validity is "the
-    /// epoch vector I built from is the epoch vector I see now".
+    /// *epoch*: a query barrier waits until it reaches `submitted`.
     /// Cache-line-padded: the worker stores it per drained chunk while
     /// the coordinator polls every shard's copy in barrier loops.
     applied: CachePadded<AtomicU64>,
@@ -500,20 +508,16 @@ struct Shard<B> {
     thread: Thread,
 }
 
-/// The epoch-cached merged serving summary.
-struct Cache<B> {
-    merged: Option<B>,
-    /// Per-shard `applied` counters the cached summary was built from.
-    /// Entries are cache-line-padded like the live epoch counters they
-    /// mirror, so validity re-checks walk one line per shard.
-    epochs: Vec<CachePadded<u64>>,
-    /// Queries served straight from the cache.
-    hits: u64,
-    /// Cache (re)builds: one snapshot+advance+merge sweep each.
-    rebuilds: u64,
+/// What the serving path remembers between answers.
+#[derive(Default)]
+struct Served {
+    /// Answers summed from the live shards alone, with nothing at risk.
+    live: u64,
+    /// Answers that fell back to a checkpoint or widened for mass at
+    /// risk.
+    degraded: u64,
     /// The envelope reported with the most recent answer — what
-    /// `error_bound()` falls back to when the engine is degraded and
-    /// has no live merged summary to read from.
+    /// `error_bound()` falls back to when the engine is degraded.
     last_bound: Option<ErrorBound>,
 }
 
@@ -528,13 +532,13 @@ pub struct ShardedAggregate<B> {
     /// Global clock high-water mark (max time ever submitted). Atomic
     /// because `&self` queries read it while only `&mut self` writes it.
     last_t: AtomicU64,
-    cache: Mutex<Cache<B>>,
+    served: Mutex<Served>,
     /// Reusable per-shard partition buffers for batched ingest.
     scratch: Vec<Vec<Msg>>,
     /// A pristine backend from the same `make` closure as the shards:
     /// the restore target for dead shards' checkpoints, the fold base
-    /// when nothing survives, and the probe for the `g(1)` envelope
-    /// widening.
+    /// of `merge_from` when nothing survives, and the probe for the
+    /// `g(1)` envelope widening.
     template: B,
     /// Checkpoint capability (Some only for supervised engines).
     ckpt_ops: Option<CkptFns<B>>,
@@ -1076,8 +1080,15 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
     /// round-robin partitioning and the default ring capacity.
     ///
     /// Every shard must be built from the *same* configuration (same
-    /// decay, ε, caps): `merge_from` asserts compatibility when the
-    /// serving summary is folded.
+    /// decay, ε, caps), so that the shards' answers sum to one decayed
+    /// sum; `merge_from` asserts compatibility when an owned summary is
+    /// folded ([`into_merged`](Self::into_merged)).
+    ///
+    /// # Panics
+    ///
+    /// If the backend's answers are not additive over substreams
+    /// ([`StreamAggregate::query_is_additive`] is `false`, as for a
+    /// decayed average or variance). Every constructor checks this.
     ///
     /// Without the [`Checkpoint`] capability a worker panic quarantines
     /// its shard immediately (no restart is possible); use
@@ -1108,6 +1119,12 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
     ) -> Self {
         assert!(shards >= 1, "need at least one shard");
         let template = make();
+        assert!(
+            template.query_is_additive(),
+            "{} answers are not additive over substreams, so they cannot be \
+             served as a sum over shards",
+            std::any::type_name::<B>()
+        );
         let (durable_store, mut durable_inits) = match durable {
             Some(d) => {
                 assert_eq!(d.inits.len(), shards, "one recovered init per shard");
@@ -1192,13 +1209,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
             barrier_deadline: opts.barrier_deadline,
             rr_next: 0,
             last_t: AtomicU64::new(0),
-            cache: Mutex::new(Cache {
-                merged: None,
-                epochs: Vec::new(),
-                hits: 0,
-                rebuilds: 0,
-                last_bound: None,
-            }),
+            served: Mutex::default(),
             template,
             ckpt_ops,
             extra_risk: AtomicU64::new(0),
@@ -1267,10 +1278,13 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         self.shards.len()
     }
 
-    /// `(hits, rebuilds)` of the epoch cache so far.
+    /// `(live, degraded)`: answers served so far from the live shards
+    /// alone, and answers that fell back to a dead shard's checkpoint
+    /// or widened their envelope for mass at risk. A healthy engine
+    /// reports `degraded == 0`.
     pub fn cache_stats(&self) -> (u64, u64) {
-        let c = self.cache.lock().expect("cache poisoned");
-        (c.hits, c.rebuilds)
+        let s = self.served.lock().expect("serving stats poisoned");
+        (s.live, s.degraded)
     }
 
     /// Per-shard health and accounting counters. Cheap (atomic reads);
@@ -1404,43 +1418,14 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         m
     }
 
-    /// Snapshots live shards (skipping `dead`, whose last checkpoints
-    /// are folded instead), advances everything to the shared clock,
-    /// and folds into one summary. Returns the summary and the total
-    /// mass at risk (uncovered dead-shard mass + global widening mass).
+    /// Snapshots every part (see [`visit_parts`](Self::visit_parts)),
+    /// advances them to the shared clock, and folds them into one owned
+    /// summary for the trait's `merge_from`. Returns the summary and the
+    /// mass at risk.
     fn fold_parts(&self, dead: &[usize]) -> (B, u64) {
         let t_sync = self.last_t.load(Ordering::Acquire);
         let mut parts: Vec<B> = Vec::with_capacity(self.shards.len());
-        let mut risk = self.widening_mass();
-        for (i, sh) in self.shards.iter().enumerate() {
-            if dead.contains(&i) {
-                let submitted_mass = sh.submitted_mass.load(Ordering::Acquire);
-                let mut covered = 0u64;
-                if let Some(fns) = self.ckpt_ops {
-                    let rec_guard = sh.state.ckpt.lock().expect("checkpoint mutex");
-                    if let Some(rec) = rec_guard.as_ref() {
-                        let mut b = self.template.clone();
-                        if (fns.restore)(&mut b, &rec.bytes).is_ok() {
-                            covered = rec.mass;
-                            parts.push(b);
-                        }
-                        // A failed restore (corruption) is *detected*:
-                        // the checkpoint is discarded and the whole
-                        // submitted mass goes at risk instead of being
-                        // silently wrong.
-                    }
-                }
-                risk = risk.saturating_add(submitted_mass.saturating_sub(covered));
-            } else {
-                parts.push(
-                    sh.state
-                        .backend
-                        .lock()
-                        .expect("backend mutex unpoisonable")
-                        .snapshot(),
-                );
-            }
-        }
+        let risk = self.visit_parts(dead, |part| parts.push(part.snapshot()));
         if t_sync > 0 {
             for p in &mut parts {
                 p.advance(t_sync);
@@ -1463,8 +1448,8 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         (merged, risk)
     }
 
-    /// Widens `base` (the folded summary's own envelope for `value`)
-    /// to also cover `risk_mass` units of missing strictly-past mass.
+    /// Widens `base` (the summed parts' own envelope for `value`) to
+    /// also cover `risk_mass` units of missing strictly-past mass.
     ///
     /// Every missing item weighs at most `g(1)` (weights are
     /// non-increasing and at-tick mass is invisible), so the missing
@@ -1508,43 +1493,70 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         }
     }
 
-    /// Serves the degraded answer: live snapshots + dead checkpoints,
-    /// envelope widened by the mass at risk. Bypasses the epoch cache.
-    fn degraded_answer(&self, t: Time, dead: &[usize]) -> Answer {
-        let (merged, risk) = self.fold_parts(dead);
-        let value = merged.query(t);
-        let bound = self.widen_for_missing(merged.error_bound(), value, risk);
-        Answer {
+    /// Hands every shard's state to `visit`: live shards in place under
+    /// their backend locks, dead ones (`dead`) as a restore of their
+    /// last checkpoint into a clone of the template. Returns the mass
+    /// at risk: each dead shard's submitted mass its checkpoint does not
+    /// cover, plus the global widening mass. A checkpoint that fails
+    /// restore (corruption) is *detected*: it is discarded and the
+    /// shard's whole submitted mass goes at risk instead of being
+    /// silently wrong.
+    fn visit_parts(&self, dead: &[usize], mut visit: impl FnMut(&B)) -> u64 {
+        let mut risk = self.widening_mass();
+        for (i, sh) in self.shards.iter().enumerate() {
+            if !dead.contains(&i) {
+                visit(&sh.state.backend.lock().expect("backend mutex unpoisonable"));
+                continue;
+            }
+            let mut covered = 0u64;
+            if let Some(fns) = self.ckpt_ops {
+                let rec_guard = sh.state.ckpt.lock().expect("checkpoint mutex");
+                if let Some(rec) = rec_guard.as_ref() {
+                    let mut b = self.template.clone();
+                    if (fns.restore)(&mut b, &rec.bytes).is_ok() {
+                        covered = rec.mass;
+                        visit(&b);
+                    }
+                }
+            }
+            let submitted_mass = sh.submitted_mass.load(Ordering::Acquire);
+            risk = risk.saturating_add(submitted_mass.saturating_sub(covered));
+        }
+        risk
+    }
+
+    /// Serves one answer at `t` as the sum of every part's own answer
+    /// (see [`visit_parts`](Self::visit_parts)), with the envelope
+    /// [`ErrorBound::widest`] over the parts — sound because every part
+    /// is a decayed sum of a disjoint substream — widened for the mass
+    /// at risk. Records the answer in the serving counters.
+    fn serve(&self, t: Time, dead: &[usize]) -> Answer {
+        let mut value = 0.0;
+        let mut base = ErrorBound::exact();
+        let risk = self.visit_parts(dead, |part| {
+            value += part.query(t);
+            base = base.widest(part.error_bound());
+        });
+        let answer = Answer {
             value,
-            bound,
+            bound: self.widen_for_missing(base, value, risk),
             degraded: dead.to_vec(),
             complete_up_to: self.complete_up_to(),
-        }
-    }
-
-    /// Refreshes (or reuses) the epoch-cached merged summary. Callers
-    /// must have barriered and verified that no shard is quarantined.
-    fn refreshed_cache(&self) -> MutexGuard<'_, Cache<B>> {
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let fresh = self
-            .shards
-            .iter()
-            .map(|sh| CachePadded::new(sh.state.applied.load(Ordering::Acquire)))
-            .collect::<Vec<_>>();
-        if cache.merged.is_none() || cache.epochs != fresh {
-            cache.merged = Some(self.fold_parts(&[]).0);
-            cache.epochs = fresh;
-            cache.rebuilds += 1;
+        };
+        let mut served = self.served.lock().expect("serving stats poisoned");
+        if dead.is_empty() && risk == 0 {
+            served.live += 1;
         } else {
-            cache.hits += 1;
+            served.degraded += 1;
         }
-        cache
+        served.last_bound = Some(answer.bound);
+        answer
     }
 
-    /// The full-fidelity query path: barrier with a deadline, then
-    /// either the healthy epoch-cached answer or a degraded answer
-    /// folded from live snapshots plus dead shards' checkpoints, with
-    /// the envelope widened by the mass at risk.
+    /// The full-fidelity query path: barrier with a deadline, then the
+    /// sum of the shards' answers — live shards in place, dead shards
+    /// from their checkpoints, with the envelope widened by the mass at
+    /// risk.
     ///
     /// `Err(QueryError::Wedged)` means some shard neither caught up nor
     /// quarantined within
@@ -1556,37 +1568,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         let dead = self
             .barrier_check(Some(deadline), &[])
             .map_err(|shard| QueryError::Wedged { shard })?;
-        let answer = if dead.is_empty() && self.widening_mass() == 0 {
-            let mut cache = self.refreshed_cache();
-            let merged = cache.merged.as_ref().expect("refreshed_cache builds it");
-            let ans = Answer {
-                value: merged.query(t),
-                bound: merged.error_bound(),
-                degraded: Vec::new(),
-                complete_up_to: self.complete_up_to(),
-            };
-            cache.last_bound = Some(ans.bound);
-            return Ok(ans);
-        } else {
-            self.degraded_answer(t, &dead)
-        };
-        self.cache.lock().expect("cache poisoned").last_bound = Some(answer.bound);
-        Ok(answer)
-    }
-
-    /// The query path with the epoch cache bypassed: barrier, snapshot,
-    /// advance, and merge on *every* call. This is what every query
-    /// would cost without the cache; the e13 experiment measures the
-    /// two side by side.
-    pub fn query_uncached(&self, t: Time) -> f64 {
-        let dead = self
-            .barrier_check(None, &[])
-            .expect("no deadline, cannot wedge");
-        if dead.is_empty() && self.widening_mass() == 0 {
-            self.fold_parts(&[]).0.query(t)
-        } else {
-            self.degraded_answer(t, &dead).value
-        }
+        Ok(self.serve(t, &dead))
     }
 
     /// Shuts the workers down (each drains its ring to empty first),
@@ -1720,33 +1702,23 @@ impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAgg
         }
     }
 
-    /// Never hangs and never panics on shard failure: healthy engines
-    /// serve the epoch-cached merged summary; degraded engines fold
-    /// live snapshots plus dead shards' checkpoints; a shard that
-    /// misses the barrier deadline is treated as dead *for this query*
-    /// and served from its checkpoint too. Use
-    /// [`try_query`](ShardedAggregate::try_query) to receive the
-    /// envelope and the degraded-shard list alongside the value.
+    /// Never hangs and never panics on shard failure: the answer is the
+    /// sum of the live shards' answers plus, for each dead shard, the
+    /// answer of its last checkpoint; a shard that misses the barrier
+    /// deadline is treated as dead *for this query* and served from its
+    /// checkpoint too. Use [`try_query`](ShardedAggregate::try_query) to
+    /// receive the envelope and the degraded-shard list alongside the
+    /// value.
     fn query(&self, t: Time) -> f64 {
         let mut wedged: Vec<usize> = Vec::new();
         loop {
             let deadline = Instant::now() + self.barrier_deadline;
             match self.barrier_check(Some(deadline), &wedged) {
                 Ok(mut dead) => {
-                    if dead.is_empty() && wedged.is_empty() && self.widening_mass() == 0 {
-                        let mut cache = self.refreshed_cache();
-                        let merged = cache.merged.as_ref().expect("refreshed_cache builds it");
-                        let value = merged.query(t);
-                        let bound = merged.error_bound();
-                        cache.last_bound = Some(bound);
-                        return value;
-                    }
                     dead.extend_from_slice(&wedged);
                     dead.sort_unstable();
                     dead.dedup();
-                    let ans = self.degraded_answer(t, &dead);
-                    self.cache.lock().expect("cache poisoned").last_bound = Some(ans.bound);
-                    return ans.value;
+                    return self.serve(t, &dead).value;
                 }
                 Err(shard) => wedged.push(shard),
             }
@@ -1790,45 +1762,38 @@ impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAgg
         }
         self.extra_risk.fetch_add(their_risk, Ordering::Release);
         self.last_t.store(t_common, Ordering::Release);
-        // The fold changed the target shard without moving its applied
-        // counter: drop the cached summary explicitly.
-        let cache = self.cache.get_mut().expect("cache poisoned");
-        cache.merged = None;
-        cache.epochs.clear();
-        cache.last_bound = None;
+        self.served
+            .get_mut()
+            .expect("serving stats poisoned")
+            .last_bound = None;
     }
 
-    /// The serving envelope. Healthy engines read it from the merged
-    /// summary (merge fan-in widening, k·ε for the EH family, is
-    /// already folded into its state). Degraded engines report the
-    /// widened envelope of the most recent answer — issue a query
-    /// first; with no answer to stand on the envelope is unbounded.
+    /// The serving envelope. Healthy engines report the widest of the
+    /// live shards' own envelopes, side by side — the envelope of their
+    /// summed answer (see the crate docs), with no merge fan-in band.
+    /// Degraded engines report the widened envelope of the most recent
+    /// answer — issue a query first; with no answer to stand on the
+    /// envelope is unbounded.
     fn error_bound(&self) -> ErrorBound {
         let deadline = Instant::now() + self.barrier_deadline;
-        if let Ok(dead) = self.barrier_check(Some(deadline), &[]) {
-            if dead.is_empty() && self.widening_mass() == 0 {
-                let mut cache = self.refreshed_cache();
-                let bound = cache
-                    .merged
-                    .as_ref()
-                    .expect("refreshed_cache builds it")
-                    .error_bound();
-                cache.last_bound = Some(bound);
-                return bound;
-            }
+        let healthy = matches!(self.barrier_check(Some(deadline), &[]), Ok(dead) if dead.is_empty())
+            && self.widening_mass() == 0;
+        let live = healthy.then(|| {
+            let mut bound = ErrorBound::exact();
+            self.visit_parts(&[], |part| bound = bound.widest(part.error_bound()));
+            bound
+        });
+        let mut served = self.served.lock().expect("serving stats poisoned");
+        if live.is_some() {
+            served.last_bound = live;
         }
-        self.cache
-            .lock()
-            .expect("cache poisoned")
-            .last_bound
-            .unwrap_or_else(ErrorBound::unbounded)
+        served.last_bound.unwrap_or_else(ErrorBound::unbounded)
     }
 }
 
 impl<B: StreamAggregate + Clone + Send + 'static> StorageAccounting for ShardedAggregate<B> {
-    /// Total bits across the live shards (the cache is serving state,
-    /// not summary state, and is excluded — it duplicates the shards;
-    /// quarantined shards' torn state is excluded too).
+    /// Total bits across the live shards (quarantined shards' torn
+    /// state is excluded).
     fn storage_bits(&self) -> u64 {
         let dead = self
             .barrier_check(None, &[])
@@ -1989,20 +1954,108 @@ mod tests {
         assert!(s.query(8) > 0.0);
     }
 
+    /// A backend wrapper that counts every copy (`clone`, `snapshot`)
+    /// and every `merge_from` made through any instance sharing the
+    /// counter.
+    #[derive(Debug)]
+    struct CopyCounting<B> {
+        inner: B,
+        copies: Arc<AtomicU64>,
+    }
+
+    impl<B: Clone> CopyCounting<B> {
+        fn copy(&self) -> Self {
+            self.copies.fetch_add(1, Ordering::SeqCst);
+            CopyCounting {
+                inner: self.inner.clone(),
+                copies: Arc::clone(&self.copies),
+            }
+        }
+    }
+
+    impl<B: Clone> Clone for CopyCounting<B> {
+        fn clone(&self) -> Self {
+            self.copy()
+        }
+    }
+
+    impl<B: StorageAccounting> StorageAccounting for CopyCounting<B> {
+        fn storage_bits(&self) -> u64 {
+            self.inner.storage_bits()
+        }
+    }
+
+    impl<B: StreamAggregate + Clone> StreamAggregate for CopyCounting<B> {
+        fn observe(&mut self, t: Time, f: u64) {
+            self.inner.observe(t, f)
+        }
+        fn observe_batch(&mut self, items: &[(Time, u64)]) {
+            self.inner.observe_batch(items)
+        }
+        fn advance(&mut self, t: Time) {
+            self.inner.advance(t)
+        }
+        fn query(&self, t: Time) -> f64 {
+            self.inner.query(t)
+        }
+        fn merge_from(&mut self, other: &Self) {
+            self.copies.fetch_add(1, Ordering::SeqCst);
+            self.inner.merge_from(&other.inner)
+        }
+        fn error_bound(&self) -> ErrorBound {
+            self.inner.error_bound()
+        }
+        fn snapshot(&self) -> Self {
+            self.copy()
+        }
+    }
+
     #[test]
-    fn epoch_cache_hits_until_state_changes() {
-        let mut s = ShardedAggregate::new(4, || ExpCounter::new(Exponential::new(0.1)));
-        s.observe_batch(&stream(500));
-        let _ = s.query(10_000);
-        let _ = s.query(10_001);
-        let _ = s.query(10_002);
-        let (hits, rebuilds) = s.cache_stats();
-        assert_eq!(rebuilds, 1, "idle queries must reuse the cached merge");
-        assert_eq!(hits, 2);
-        s.observe(20_000, 1);
-        let _ = s.query(20_001);
-        let (_, rebuilds) = s.cache_stats();
-        assert_eq!(rebuilds, 2, "new mass must invalidate the cache");
+    fn healthy_serving_never_copies_or_merges() {
+        let copies = Arc::new(AtomicU64::new(0));
+        let shared = Arc::clone(&copies);
+        let mut s = ShardedAggregate::new(3, move || CopyCounting {
+            inner: Wbmh::new(Polynomial::new(1.0), 0.1, 1 << 30),
+            copies: Arc::clone(&shared),
+        });
+        for round in 0..3u64 {
+            let items: Vec<(Time, u64)> = stream(500)
+                .into_iter()
+                .map(|(t, f)| (t + round * 10_000, f))
+                .collect();
+            s.observe_batch(&items);
+            let t = items.last().unwrap().0 + 1;
+            let ans = s.try_query(t).expect("healthy engine");
+            assert!(ans.degraded.is_empty() && ans.value > 0.0);
+            assert_eq!(s.query(t), ans.value);
+            assert_eq!(s.error_bound(), ans.bound);
+        }
+        assert_eq!(
+            copies.load(Ordering::SeqCst),
+            0,
+            "the healthy serving path must not clone, snapshot or merge"
+        );
+        assert_eq!(s.cache_stats(), (6, 0), "six live answers, none degraded");
+    }
+
+    #[test]
+    #[should_panic(expected = "DecayedAverage")]
+    fn non_additive_backend_is_refused_at_construction() {
+        let _ = ShardedAggregate::new(2, || {
+            td_aggregates::DecayedAverage::ceh(Polynomial::new(1.0), 0.05)
+        });
+    }
+
+    #[test]
+    fn ceh_envelope_is_one_shards_not_k_eps() {
+        let make = || td_ceh::CascadedEh::new(Polynomial::new(1.0), 0.05);
+        let mut s = ShardedAggregate::new(3, make);
+        s.observe_batch(&stream(3000));
+        let one = make().error_bound();
+        assert_eq!(s.error_bound(), one);
+        // The owned merged summary carries the 3-site fan-in band.
+        let merged = s.into_merged().expect("no shard failed");
+        assert!(merged.error_bound().upper > 2.0 * one.upper);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sharded serving: spread one decayed-sum workload across worker-owned
-//! backend shards, query the epoch-cached merged summary, and watch the
-//! cache pay for itself on a read-heavy phase — then kill a shard
-//! mid-stream and watch the engine keep serving certified answers.
+//! backend shards, answer each query as the sum of the per-shard
+//! answers on a read-heavy phase — then kill a shard mid-stream and
+//! watch the engine keep serving certified answers.
 //!
 //! ```sh
 //! cargo run --release --example sharded_ingest
@@ -17,8 +17,9 @@ use td_shard::{ShardHealth, ShardedAggregate, SupervisorOptions};
 
 fn main() {
     // Four shards, each a private cascaded-EH under POLYD(1) decay.
-    // Every shard sees a disjoint substream; the §6 merge property is
-    // what lets their summaries fold back into one answer.
+    // Every shard sees a disjoint substream, and a decayed sum over a
+    // union is the sum of the parts' decayed sums, so the shards'
+    // answers add up to one answer.
     let mut engine =
         ShardedAggregate::with_options(4, 4096, || CascadedEh::new(Polynomial::new(1.0), 0.05));
 
@@ -36,15 +37,14 @@ fn main() {
     }
 
     // First query: the coordinator waits for every shard to catch up,
-    // snapshots, advances the clones to the shared clock, and merges.
-    // This build is cached against the per-shard epoch vector.
+    // then sums the four shards' answers in place — no copy, no merge.
+    // The envelope is one shard's ε, not the 4·ε of a merged summary.
     let est = engine.query(t + 1);
     println!("decayed sum at t+1        : {est:.3}");
     println!("reported error envelope   : {:?}", engine.error_bound());
 
-    // Read-heavy phase: 1 write per 100 reads. Only the writes advance
-    // a shard epoch, so ~99% of queries are served from the cache
-    // without touching a worker.
+    // Read-heavy phase: 1 write per 100 reads. Each query costs one
+    // barrier plus four backend queries.
     for q in 0..1_000u64 {
         if q % 100 == 99 {
             t += 1;
@@ -52,15 +52,17 @@ fn main() {
         }
         std::hint::black_box(engine.query(t + 1));
     }
-    let (hits, rebuilds) = engine.cache_stats();
-    println!("read-heavy phase          : {hits} cache hits, {rebuilds} merge rebuilds");
+    let (live, degraded) = engine.cache_stats();
+    println!("read-heavy phase          : {live} answers from live shards, {degraded} degraded");
 
     // Shutdown folds every shard into one plain backend — nothing in
-    // flight is dropped, and the result is an ordinary CascadedEh. A
-    // worker that died past recovery would surface here as a typed
-    // ShardError instead of a panic.
+    // flight is dropped, and the result is an ordinary CascadedEh whose
+    // envelope carries the 4-way merge fan-in. A worker that died past
+    // recovery would surface here as a typed ShardError instead of a
+    // panic.
     let merged = engine.into_merged().expect("no shard failed");
     println!("merged summary at t+1     : {:.3}", merged.query(t + 1));
+    println!("merged summary envelope   : {:?}", merged.error_bound());
 
     kill_a_shard_and_keep_serving();
 }
