@@ -209,66 +209,88 @@ fn forward_vs_backward() -> Vec<(String, f64, f64, u64)> {
     exp_rows.into_iter().chain(poly_rows).collect()
 }
 
-/// ISSUE 7: the bounded-lateness stage's ingest overhead. With
+/// The bounded-lateness stage's ingest overhead. With
 /// `allowed_lateness = 0` and an in-order batched feed, `push_batch`
-/// takes its fast path (no heap; for this per-item backend, a fused
-/// observe loop with the monotonicity compare folded in) and must stay
-/// within 1.10× of raw batched ingest — self-enforced below, with
+/// takes its fast path (no buffering; for this per-item backend, a
+/// fused observe loop with the monotonicity compare folded in) and must
+/// stay within 1.10× of raw batched ingest — self-enforced below, with
 /// `TD_REORDER_OVERHEAD_SLACK` to widen on shared runners. Nonzero
-/// bounds pay for real per-item heap buffering; measured for the
-/// table/JSON but ungated (that cost is the feature, not a regression).
+/// bounds buffer every item: at `lateness=64` each push appends to a
+/// tick-wheel slot, gated at ≤ 8× raw batched ingest. The
+/// `lateness=65536` row is fed one item per tick in a seeded shuffle
+/// within the bound, so most items land beyond the 4096-slot ring in the
+/// stage's `far` heap; its raw column is the same items in sorted
+/// order. That row is measured for the table/JSON but ungated.
 fn reorder_overhead() -> Vec<(String, f64, f64, f64)> {
     use td_reorder::{LatenessPolicy, Reorderer};
 
-    let items = bursty_items(1_000_000);
+    const WHEEL_GATE: f64 = 8.0;
+    const FAR_LATENESS: u64 = 65536;
     let exp = Exponential::new(0.001);
-    let t_end = items.last().map(|&(t, _)| t).unwrap_or(1) + 1;
-    const BOUNDS: [u64; 2] = [0, 64];
+    let bursty = bursty_items(1_000_000);
+    let one_per_tick: Vec<(u64, u64)> = (1..=1_000_000u64).map(|t| (t, t % 8)).collect();
+    let shuffled = shuffle_within(&one_per_tick, FAR_LATENESS);
+    // (label suffix, sorted feed, arrival order, bounds)
+    let feeds = [
+        ("", &bursty[..], &bursty[..], &[0, 64][..]),
+        (
+            " shuffled",
+            &one_per_tick[..],
+            &shuffled[..],
+            &[FAR_LATENESS][..],
+        ),
+    ];
 
-    // Interleave raw and staged reps (unlike `measure`, every path here
-    // allocates only counter-sized state, so there is no alternating
-    // allocation churn) — the gated quantity is a within-run *ratio*,
-    // and pairing the reps keeps slow drift out of it.
-    let mut raw_ns = f64::INFINITY;
-    let mut staged_ns = [f64::INFINITY; BOUNDS.len()];
-    for _ in 0..7 {
-        let mut eng = ExpCounter::new(exp);
-        raw_ns = raw_ns.min(time_ns_per_item(items.len(), || {
-            for chunk in items.chunks(4096) {
-                eng.observe_batch(chunk);
-            }
-        }));
-        let raw_answer = eng.query(t_end);
-        for (i, &lateness) in BOUNDS.iter().enumerate() {
-            let mut r = Reorderer::new(
-                ExpCounter::new(exp),
-                Box::new(exp),
-                lateness,
-                LatenessPolicy::Reject,
-            );
-            staged_ns[i] = staged_ns[i].min(time_ns_per_item(items.len(), || {
-                for chunk in items.chunks(4096) {
-                    r.push_batch(0, chunk).expect("in-order feed is never late");
+    let mut rows: Vec<(String, f64, f64, f64)> = Vec::new();
+    for (suffix, sorted, arrivals, bounds) in feeds {
+        let t_end = sorted.last().map(|&(t, _)| t).unwrap_or(1) + 1;
+        // Interleave raw and staged reps (unlike `measure`, every path
+        // here allocates only counter-sized state, so there is no
+        // alternating allocation churn) — the gated quantity is a
+        // within-run *ratio*, and pairing the reps keeps slow drift out
+        // of it.
+        let mut raw_ns = f64::INFINITY;
+        let mut staged_ns = vec![f64::INFINITY; bounds.len()];
+        for _ in 0..7 {
+            let mut eng = ExpCounter::new(exp);
+            raw_ns = raw_ns.min(time_ns_per_item(sorted.len(), || {
+                for chunk in sorted.chunks(4096) {
+                    eng.observe_batch(chunk);
                 }
             }));
-            r.flush();
-            let got = r.query(t_end);
-            assert!(
-                (got - raw_answer).abs() <= 1e-9 * raw_answer.abs().max(1.0),
-                "reorder-fronted ingest diverged at lateness={lateness}: \
-                 {got} vs raw {raw_answer}"
-            );
+            let raw_answer = eng.query(t_end);
+            for (i, &lateness) in bounds.iter().enumerate() {
+                let mut r = Reorderer::new(
+                    ExpCounter::new(exp),
+                    Box::new(exp),
+                    lateness,
+                    LatenessPolicy::Reject,
+                );
+                staged_ns[i] = staged_ns[i].min(time_ns_per_item(arrivals.len(), || {
+                    for chunk in arrivals.chunks(4096) {
+                        r.push_batch(0, chunk)
+                            .expect("a feed shuffled within the bound is never late");
+                    }
+                }));
+                r.flush();
+                let got = r.query(t_end);
+                assert!(
+                    (got - raw_answer).abs() <= 1e-9 * raw_answer.abs().max(1.0),
+                    "reorder-fronted ingest diverged at lateness={lateness}: \
+                     {got} vs raw {raw_answer}"
+                );
+            }
         }
+        rows.extend(
+            bounds
+                .iter()
+                .zip(staged_ns)
+                .map(|(&l, ns)| (format!("lateness={l}{suffix}"), raw_ns, ns, ns / raw_ns)),
+        );
     }
 
-    let rows: Vec<(String, f64, f64, f64)> = BOUNDS
-        .iter()
-        .zip(staged_ns)
-        .map(|(&l, ns)| (format!("lateness={l}"), raw_ns, ns, ns / raw_ns))
-        .collect();
-
     let mut sec = Section::new(
-        "Reorder-stage overhead vs raw batched ingest (exp-counter, same stream)",
+        "Reorder-stage overhead vs raw batched ingest (exp-counter, same items sorted)",
         &["stage", "raw ns/item", "staged ns/item", "overhead"],
     );
     for (name, raw, ns, over) in &rows {
@@ -295,7 +317,34 @@ fn reorder_overhead() -> Vec<(String, f64, f64, f64)> {
         zero.2,
         zero.1,
     );
+    let wheel = &rows[1];
+    assert!(
+        wheel.3 <= WHEEL_GATE,
+        "reorder stage at lateness=64 costs {:.2}x raw batched ingest \
+         ({:.1} vs {:.1} ns/item) — tick-wheel buffering regressed past the \
+         {WHEEL_GATE:.1}x gate",
+        wheel.3,
+        wheel.2,
+        wheel.1,
+    );
     rows
+}
+
+/// `items` in a seeded arrival order where each item is delayed by at
+/// most `bound` ticks, so none is late under that lateness bound.
+fn shuffle_within(items: &[(u64, u64)], bound: u64) -> Vec<(u64, u64)> {
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut keyed: Vec<(u64, (u64, u64))> = items
+        .iter()
+        .map(|&item| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (item.0 + x % (bound + 1), item)
+        })
+        .collect();
+    keyed.sort_by_key(|&(key, _)| key);
+    keyed.into_iter().map(|(_, item)| item).collect()
 }
 
 /// Measures the chunked `weight_batch` kernels against the per-item

@@ -648,7 +648,7 @@ where
         ));
     }
     let buffered = match buffered_at_fire {
-        // Observed at a barrier before the flush: the heaps still held
+        // Observed at a barrier before the flush: the stage still held
         // at least the frontier item, or the run is vacuous.
         Some(n) if n > 0 => n,
         _ => {

@@ -7,10 +7,16 @@
 //! the standard streaming-systems construction (cf. MillWheel/Dataflow
 //! watermarks, and the adversarial-arrival model of Braverman et al.):
 //!
-//! * items from every source are buffered in **one min-heap** keyed by
-//!   `(timestamp, arrival)`;
 //! * a **watermark** `W = max_seen − allowed_lateness` advances as new
 //!   maxima arrive;
+//! * items from every source are buffered in **one tick wheel**: a ring
+//!   of `R = min(next_pow2(L + 1), 4096)` per-tick slots covering ticks
+//!   `[W, W + R)`, where an on-time push appends to its tick's slot in
+//!   O(1). Items beyond the wheel (ticks more than `R − 1` ahead of
+//!   `W`) go to a `(timestamp, arrival)` min-heap, `far`; for the small
+//!   bounds in use that holds only the first item of a stream and
+//!   sparse history, and it keeps the ring at most 4096 slots whatever
+//!   the bound;
 //! * every buffered item with `t ≤ W` is released to the wrapped
 //!   backend's [`observe_batch`](StreamAggregate::observe_batch) in
 //!   `(t, arrival)` order — so the downstream summary sees exactly the
@@ -123,14 +129,125 @@ fn is_non_decreasing(items: &[(Time, u64)]) -> bool {
     true
 }
 
-/// A buffered item: ordered by `(t, seq)` so equal-timestamp items
-/// release in arrival order — the stable sort of the input, which keeps
-/// f64 summation order identical to a sorted sequential replay.
+/// A `far` item: ordered by `(t, seq)` so equal-timestamp items release
+/// in arrival order — the stable sort of the input, which keeps f64
+/// summation order identical to a sorted sequential replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Pending {
     t: Time,
     seq: u64,
     f: u64,
+}
+
+/// The most tick slots a [`Buffer`] allocates, whatever the bound: a
+/// lateness of `u64::MAX` costs the same ring as one of 4095.
+const MAX_SLOTS: u64 = 4096;
+
+/// The stage's buffered on-time items, released in `(t, arrival)`
+/// order.
+///
+/// A ring of `R` slots (a power of two) covers ticks `[base, base + R)`;
+/// tick `t` lives in slot `t & (R − 1)` and its values are appended in
+/// arrival order. `base` is the watermark, moved only by
+/// [`release`](Buffer::release). Pushes beyond the ring go to `far`,
+/// and are never migrated into slots: a `far` item of tick `t` arrived
+/// while `t` was beyond the ring, so every slot item of the same tick
+/// arrived after it, and emitting a slot's `far` items first is exactly
+/// arrival order.
+struct Buffer {
+    slots: Vec<Vec<u64>>,
+    /// One bit per slot, set while the slot is non-empty: the release
+    /// walk skips 64 empty slots per word, so sparse ticks inside the
+    /// ring cost at most `R / 64` word reads per release, not `R`.
+    occupied: Vec<u64>,
+    base: Time,
+    /// Items in `slots` (the release walk stops when it reaches 0).
+    in_slots: u64,
+    far: BinaryHeap<Reverse<Pending>>,
+    /// Arrival counter of `far` pushes.
+    far_seq: u64,
+}
+
+impl Buffer {
+    fn new(allowed_lateness: u64) -> Self {
+        let ring = (allowed_lateness.min(MAX_SLOTS - 1) + 1).next_power_of_two() as usize;
+        Buffer {
+            slots: vec![Vec::new(); ring],
+            occupied: vec![0; ring.div_ceil(64)],
+            base: 0,
+            in_slots: 0,
+            far: BinaryHeap::new(),
+            far_seq: 0,
+        }
+    }
+
+    fn mask(&self) -> u64 {
+        self.slots.len() as u64 - 1
+    }
+
+    /// Buffers `(t, f)`; requires `t ≥ base` (an on-time item).
+    fn push(&mut self, t: Time, f: u64) {
+        let mask = self.mask();
+        if t - self.base <= mask {
+            let i = (t & mask) as usize;
+            self.slots[i].push(f);
+            self.occupied[i / 64] |= 1 << (i % 64);
+            self.in_slots += 1;
+        } else {
+            let seq = self.far_seq;
+            self.far_seq += 1;
+            self.far.push(Reverse(Pending { t, seq, f }));
+        }
+    }
+
+    /// Appends every buffered item with `t ≤ w` to `out` in `(t,
+    /// arrival)` order and moves the ring to `base = w`; requires
+    /// `w ≥ base`.
+    fn release(&mut self, w: Time, out: &mut Vec<(Time, u64)>) {
+        let mask = self.mask();
+        let word_slots = self.slots.len().min(64);
+        let last = w.min(self.base.saturating_add(mask));
+        let mut tick = self.base;
+        while self.in_slots > 0 && tick <= last {
+            let i = (tick & mask) as usize;
+            let ahead = self.occupied[i / 64] >> (i % 64);
+            if ahead == 0 {
+                // Next word (the ring's last word wraps to slot 0).
+                match tick.checked_add((word_slots - i % 64) as u64) {
+                    Some(next) => tick = next,
+                    None => break,
+                }
+                continue;
+            }
+            // Every slot behind `tick` is empty, so the set bit is a
+            // tick ahead of it inside the ring: no overflow.
+            tick += u64::from(ahead.trailing_zeros());
+            if tick > last {
+                break;
+            }
+            let i = (tick & mask) as usize;
+            self.release_far(tick, out);
+            self.in_slots -= self.slots[i].len() as u64;
+            out.extend(self.slots[i].drain(..).map(|f| (tick, f)));
+            self.occupied[i / 64] &= !(1 << (i % 64));
+            match tick.checked_add(1) {
+                Some(next) => tick = next,
+                None => break,
+            }
+        }
+        self.release_far(w, out);
+        self.base = w;
+    }
+
+    fn release_far(&mut self, upto: Time, out: &mut Vec<(Time, u64)>) {
+        while let Some(&Reverse(p)) = self.far.peek() {
+            if p.t > upto {
+                break;
+            }
+            self.far.pop();
+            out.push((p.t, p.f));
+        }
+    }
 }
 
 /// Observable counters of a [`Reorderer`] — cheap copies, safe to poll.
@@ -178,10 +295,9 @@ pub struct Reorderer<A: StreamAggregate> {
     decay: Box<dyn DecayFunction>,
     allowed_lateness: u64,
     policy: LatenessPolicy,
-    /// Every source's buffered items, popped in `(t, seq)` order.
-    heap: BinaryHeap<Reverse<Pending>>,
+    /// Every source's buffered items; its ring sits at the watermark.
+    buffer: Buffer,
     sources: usize,
-    seq: u64,
     max_seen: Time,
     watermark: Time,
     buffered_items: u64,
@@ -244,9 +360,8 @@ impl<A: StreamAggregate> Reorderer<A> {
             decay,
             allowed_lateness,
             policy,
-            heap: BinaryHeap::new(),
+            buffer: Buffer::new(allowed_lateness),
             sources,
-            seq: 0,
             max_seen: 0,
             watermark: 0,
             buffered_items: 0,
@@ -318,17 +433,24 @@ impl<A: StreamAggregate> Reorderer<A> {
     ///   typed error; `Fold` applies it at tick `W`, records the
     ///   envelope widening, and returns `Ok`.
     pub fn push(&mut self, source: usize, t: Time, f: u64) -> Result<(), LatenessError> {
+        self.check_source(source);
+        self.push_checked(source, t, f)
+    }
+
+    fn check_source(&self, source: usize) {
         assert!(
             source < self.sources,
             "source {source} out of range ({} sources)",
             self.sources
         );
+    }
+
+    /// [`push`](Reorderer::push) after the source check.
+    fn push_checked(&mut self, source: usize, t: Time, f: u64) -> Result<(), LatenessError> {
         if t < self.watermark {
             return self.handle_late(source, t, f);
         }
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Pending { t, seq, f }));
+        self.buffer.push(t, f);
         self.buffered_items += 1;
         self.buffered_mass += f;
         if t > self.max_seen {
@@ -407,17 +529,21 @@ impl<A: StreamAggregate> Reorderer<A> {
             }
             if taken > 0 {
                 self.released_items += taken as u64;
-                self.seq += taken as u64;
                 self.max_seen = prev_t;
                 if prev_t > self.watermark {
                     self.watermark = prev_t;
+                    // Buffers are empty: this only moves the ring to W.
+                    self.release();
                     self.fire_watermark();
                 }
                 rest = &items[taken..];
             }
         }
+        if !rest.is_empty() {
+            self.check_source(source);
+        }
         for &(t, f) in rest {
-            self.push(source, t, f)?;
+            self.push_checked(source, t, f)?;
         }
         Ok(())
     }
@@ -451,9 +577,7 @@ impl<A: StreamAggregate> Reorderer<A> {
         if self.max_seen > self.watermark {
             self.watermark = self.max_seen;
         }
-        if self.buffered_items > 0 {
-            self.release();
-        }
+        self.release();
         self.fire_watermark();
     }
 
@@ -618,20 +742,15 @@ impl<A: StreamAggregate> Reorderer<A> {
         ErrorBound { lower, upper }
     }
 
-    /// Pops the heap's `≤ W` prefix in `(t, seq)` order and feeds it
-    /// downstream as one batch. The `seq` tiebreak makes this the
-    /// *stable* sort of the arrival stream, so same-tick coalescing and
-    /// f64 summation order match a sorted sequential replay exactly.
+    /// Takes the buffer's `≤ W` prefix in `(t, arrival)` order and
+    /// feeds it downstream as one batch — the *stable* sort of the
+    /// arrival stream, so same-tick coalescing and f64 summation order
+    /// match a sorted sequential replay exactly. Called on every
+    /// watermark move, so the buffer's ring always starts at `W`.
     fn release(&mut self) {
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
-        while let Some(&Reverse(p)) = self.heap.peek() {
-            if p.t > self.watermark {
-                break;
-            }
-            self.heap.pop();
-            batch.push((p.t, p.f));
-        }
+        self.buffer.release(self.watermark, &mut batch);
         if !batch.is_empty() {
             self.buffered_items -= batch.len() as u64;
             self.buffered_mass -= batch.iter().map(|&(_, f)| f).sum::<u64>();
@@ -749,6 +868,38 @@ mod tests {
         assert!(est < truth);
         assert!(bound.lower > 0.0, "at-tick fold must widen the lower side");
         assert!(bound.admits(est, truth, 1e-9), "{bound:?} vs {truth}");
+    }
+
+    #[test]
+    fn unbounded_lateness_keeps_a_small_ring_and_exact_order() {
+        let decay = || Box::new(td_decay::Polynomial::new(1.0)) as Box<dyn DecayFunction>;
+        let mut r = Reorderer::new(
+            ExactDecayedSum::new(decay()),
+            decay(),
+            u64::MAX,
+            LatenessPolicy::Reject,
+        );
+        assert_eq!(r.buffer.slots.len() as u64, MAX_SLOTS);
+        // Ticks 2^40 apart, out of order, two items on some ticks.
+        let ks = [5u64, 0, 3, 9, 3, 1, 7, 0, 2, 8, 6, 4, 9];
+        for (i, &k) in ks.iter().enumerate() {
+            r.push(0, k << 40, i as u64 + 1).unwrap();
+        }
+        assert_eq!(r.watermark(), 0);
+        r.flush();
+        assert_eq!(r.stats().buffered_items, 0);
+        let mut sorted: Vec<(Time, u64)> = ks
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k << 40, i as u64 + 1))
+            .collect();
+        sorted.sort_by_key(|&(t, _)| t);
+        let mut direct = ExactDecayedSum::new(decay());
+        for &(t, f) in &sorted {
+            direct.observe(t, f);
+        }
+        let q = (9 << 40) + 1;
+        assert_eq!(r.query(q).to_bits(), direct.query(q).to_bits());
     }
 
     #[test]
